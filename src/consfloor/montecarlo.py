@@ -15,8 +15,9 @@ reads lane j of the block.  Any (step, path) variate can therefore be
 regenerated independently of execution order, and a run is bit-for-bit
 reproducible from (spec, config, seed).  Normals are generated in
 float32 (granularity ~6e-8 of a unit draw, orders of magnitude below
-both the Euler bias and the statistical error) which halves generator
-cost; all state arithmetic stays float64.  The estimate is the numpy
+both the Euler bias and the statistical error); against float64 that
+saves only 3-15% of generator time (Philox, 100k draws per step, 2-core
+x86-64 VM).  All state arithmetic stays float64.  The estimate is the numpy
 pairwise mean over paths, a fixed reduction order.
 
 When a discretization step lands below the sustainable floor x_e, the

@@ -9,10 +9,22 @@ Node-wise the Legendre transform inverts exactly:
 
 The primal grid is the image of the dual grid (non-uniform in x, finest
 where V_x varies fastest, near x_e); there is no re-gridding.  Between
-nodes, V and ln V_x are interpolated by monotone cubics in ln x, and c
-and pi are recomputed from the interpolated derivatives so the max()
-kink in the consumption rule stays exact.  Queries outside the node
-range are refused rather than extrapolated.
+nodes, V and ln V_x are interpolated by monotone cubics in ln x
+(Fritsch-Carlson PCHIP), and c and pi are recomputed from the
+interpolated derivatives: pi from d ln V_x / d ln x, and c by the same
+rule as at the nodes, c = max(V_x^(1/(p-1)), k x + l), with the floor
+taken outright wherever the refined free boundaries say it binds, so
+the kink stays exact.  Queries outside the node range are refused
+rather than extrapolated.
+
+The cubic pieces are computed once per table, on the first query, and
+evaluated in the same operation order as scipy's PPoly, so values are
+bit-identical to calling a PchipInterpolator.  A query's piece is found
+without a binary search: the dual grid is uniform in ln y, so the nodes
+are nearly uniform in u = ln(x - x_e).  A bucket table over u gives a
+starting node, and a fixed number of forward comparisons against the
+ln x knots, worked out from the table when it is built, lands on the
+piece np.searchsorted(ln x_nodes, ln x, "right") - 1 would pick.
 """
 
 from __future__ import annotations
@@ -65,23 +77,12 @@ class PolicyTable:
         return len(self.x)
 
     @cached_property
-    def _log_x(self) -> np.ndarray:
-        return np.log(self.x)
-
-    @cached_property
-    def _value_interp(self) -> PchipInterpolator:
-        return PchipInterpolator(self._log_x, self.V)
-
-    @cached_property
-    def _log_vx_interp(self) -> PchipInterpolator:
-        return PchipInterpolator(self._log_x, np.log(self.V_x))
-
-    @cached_property
-    def _log_vx_slope(self) -> PchipInterpolator:
-        return self._log_vx_interp.derivative()
+    def _pieces(self) -> _Pieces:
+        return _Pieces(self)
 
     def _check_range(self, x: np.ndarray):
-        if np.any(x < self.x[0]) or np.any(x > self.x[-1]):
+        # written so that NaN fails too; the locator cannot place it
+        if not (np.all(x >= self.x[0]) and np.all(x <= self.x[-1])):
             raise OutOfRange(
                 f"wealth query outside table range [{self.x[0]}, {self.x[-1]}]; "
                 "enlarge the dual solve domain instead of extrapolating")
@@ -95,6 +96,76 @@ class PolicyTable:
         for x_star in self.x_star_list:
             binds ^= x > x_star
         return binds
+
+
+# buckets per interval in the locator's table; more buckets mean fewer
+# nodes per bucket, so fewer comparisons per query
+_BUCKETS_PER_PIECE = 2
+# bucket-coordinate margin that absorbs rounding in ln(x - x_e)
+_BUCKET_SLACK = 1e-6
+
+
+class _Pieces:
+    """PCHIP pieces of V and ln V_x in s = ln x, and their interval locator.
+
+    Coefficient rows are stored lowest power first: piece i evaluates
+    a[0][i] + a[1][i] dx + a[2][i] dx^2 + a[3][i] dx^3 at dx = s - knots[i].
+    """
+
+    def __init__(self, table: PolicyTable):
+        x, x_e = table.x, table.spec.x_e
+        s = np.log(x)
+        collapsed = np.flatnonzero(np.diff(s) <= 0.0) + 1
+        if collapsed.size:
+            shown = ", ".join(f"{j} (x={float(x[j])!r})" for j in collapsed[:5])
+            raise ConvexityLoss(
+                f"{collapsed.size} wealth node(s) coincide with the node below in ln x: "
+                f"{shown}{', ...' if collapsed.size > 5 else ''}; "
+                "solve with fewer nodes or a smaller span")
+        if not x[0] > x_e:
+            raise ConvexityLoss(f"first wealth node {float(x[0])!r} not above x_e = {x_e!r}")
+        log_vx = PchipInterpolator(s, np.log(table.V_x))
+        self.knots = s
+        self.value = np.ascontiguousarray(PchipInterpolator(s, table.V).c[::-1])
+        self.log_vx = np.ascontiguousarray(log_vx.c[::-1])
+        self.slope = np.ascontiguousarray(log_vx.derivative().c[::-1])
+
+        # bucket b holds the queries whose coordinate f = (u - u_0) / h
+        # truncates to b; its start is the last node sure to lie below them
+        self.last = len(x) - 2
+        self.x_e = x_e
+        u = np.log(x - x_e)
+        self.u0 = u[0]
+        self.inv_h = _BUCKETS_PER_PIECE * (len(x) - 1) / (u[-1] - u[0])
+        f = (u - self.u0) * self.inv_h
+        edges = np.arange(int(f[-1] + _BUCKET_SLACK) + 1)
+        below = np.searchsorted(f, edges - _BUCKET_SLACK, "left")
+        self.start = np.maximum(below - 1, 0)
+        # the piece can lie one node past the bucket when ln x rounds
+        # onto the next knot, hence no - 1 on the upper end
+        upper = np.minimum(np.searchsorted(f, edges + 1.0 + _BUCKET_SLACK, "left"), self.last)
+        self.n_steps = int(np.max(upper - self.start))
+        self.next_knot = np.append(s[1:], np.inf)  # i stops at the last node
+
+    def locate(self, x: np.ndarray, s: np.ndarray):
+        """Piece index and offset dx = s - knot for in-range 1-d x, s = ln x."""
+        f = np.log(x - self.x_e)
+        f -= self.u0
+        f *= self.inv_h
+        i = self.start[f.astype(np.intp)]
+        for _ in range(self.n_steps):
+            i += self.next_knot[i] <= s
+        np.minimum(i, self.last, out=i)
+        return i, s - self.knots[i]
+
+    @staticmethod
+    def cubic(a: np.ndarray, i: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        dx2 = dx * dx
+        return a[0][i] + a[1][i] * dx + a[2][i] * dx2 + a[3][i] * (dx2 * dx)
+
+    @staticmethod
+    def quadratic(a: np.ndarray, i: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        return a[0][i] + a[1][i] * dx + a[2][i] * (dx * dx)
 
 
 def invert(spec: ProblemSpec, grid: DualGrid) -> PolicyTable:
@@ -136,31 +207,38 @@ def value_at(table: PolicyTable, x):
     """Interpolated value V(x) inside the table range."""
     x_arr = np.asarray(x, dtype=float)
     table._check_range(x_arr)
-    out = table._value_interp(np.log(x_arr))
+    pieces = table._pieces
+    flat = x_arr.ravel()
+    i, dx = pieces.locate(flat, np.log(flat))
+    out = pieces.cubic(pieces.value, i, dx).reshape(x_arr.shape)
     return float(out) if np.ndim(x) == 0 else out
 
 
 def policy_at(table: PolicyTable, x):
     """Feedback (c, pi) at wealth x, recomputed from interpolated V_x, V_xx.
 
-    The constrained / unconstrained branch is chosen against the refined
-    free boundaries, so the kink in c is exact rather than smeared by
-    interpolation.
+    Where the refined free boundaries put x in a constrained interval,
+    c is the floor k x + l; elsewhere c = max(V_x^(1/(p-1)), k x + l), so
+    c never dips below the floor when the interpolated V_x and the
+    bisected boundary disagree by a hair.
     """
     spec = table.spec
     x_arr = np.asarray(x, dtype=float)
     table._check_range(x_arr)
-    s = np.log(x_arr)
-    V_x = np.exp(table._log_vx_interp(s))
-    slope = table._log_vx_slope(s)  # d ln V_x / d ln x, < 0
+    pieces = table._pieces
+    flat = x_arr.ravel()
+    i, dx = pieces.locate(flat, np.log(flat))
+    V_x = np.exp(pieces.cubic(pieces.log_vx, i, dx))
+    slope = pieces.quadratic(pieces.slope, i, dx)  # d ln V_x / d ln x, < 0
     if np.any(slope >= 0.0):
         raise ConvexityLoss("interpolated V_x not strictly decreasing")
-    binds = table.floor_binds(x_arr)
-    c = np.where(binds, spec.k * x_arr + spec.l, V_x ** (1.0 / (spec.p - 1.0)))
-    pi = -(spec.mu / spec.sigma**2) * x_arr / slope
+    floor = spec.k * flat + spec.l
+    candidate = V_x ** (1.0 / (spec.p - 1.0))
+    c = np.where(table.floor_binds(flat), floor, np.maximum(candidate, floor))
+    pi = -(spec.mu / spec.sigma**2) * flat / slope
     if np.ndim(x) == 0:
-        return float(c), float(pi)
-    return c, pi
+        return float(c[0]), float(pi[0])
+    return c.reshape(x_arr.shape), pi.reshape(x_arr.shape)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,17 @@ significant digits, deliberately avoiding the package's own code paths:
 roots come from bisection rather than the quadratic formula, the
 two-branch dual coefficients from the explicit solved expressions rather
 than a linear solve, and the consumption Hamiltonian from brute-force
-grid maximization.
+grid maximization.  pchip_policy is the one floating-point reference:
+the table policy evaluated through scipy's own PchipInterpolator
+objects and interval search, which the package must reproduce bit for
+bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from mpmath import mp, mpf
+from scipy.interpolate import PchipInterpolator
 
 mp.dps = 50
 
@@ -136,3 +140,20 @@ X_E_NH = 100.0                           # l / (r - k), k = 0.02
 C_E_NH = 3.0
 V_XE_NH = 34.641016151377546
 NH_BRACKET_UPPER = 194.81156068211217    # free-boundary bracket, k = 0.02
+
+
+def pchip_policy(table, x):
+    """(V, c, pi) at wealth array x from PchipInterpolator objects on the
+    table nodes, with c = floor where the floor binds and
+    max(V_x^(1/(p-1)), floor) elsewhere."""
+    spec = table.spec
+    knots = np.log(table.x)
+    log_vx = PchipInterpolator(knots, np.log(table.V_x))
+    s = np.log(x)
+    V_x = np.exp(log_vx(s))
+    slope = log_vx.derivative()(s)
+    floor = spec.k * x + spec.l
+    candidate = V_x ** (1.0 / (spec.p - 1.0))
+    c = np.where(table.floor_binds(x), floor, np.maximum(candidate, floor))
+    pi = -(spec.mu / spec.sigma**2) * x / slope
+    return PchipInterpolator(knots, table.V)(s), c, pi

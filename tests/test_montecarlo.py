@@ -23,7 +23,8 @@ from consfloor.errors import (
     ParameterError,
     PolicyInadmissible,
 )
-from consfloor.montecarlo import AffinePolicy
+from consfloor.montecarlo import AffinePolicy, SimReport
+from oracles import pchip_policy
 
 BASE = dict(r=0.03, mu=0.05, sigma=0.2, beta=0.1, p=0.5)
 
@@ -111,6 +112,22 @@ def test_table_policy_runs_admissibly(spec_nh, nh_table):
     report = simulate(spec_nh, table_feedback(nh_table), cfg)
     assert report.floor_violations == 0
     assert report.estimate > 0
+
+
+def test_table_policy_report_is_reproduced(spec_nh, nh_table):
+    """The table policy's report equals, bit for bit, the same simulation
+    driven by scipy's PCHIP evaluation.  The recorded figures come from
+    that evaluation with numpy's AVX-512 kernels; numpy's AVX2 kernels
+    round log, exp and power differently in the last bit, which moves
+    the floats by about 1e-12 (relative) after 500 steps."""
+    cfg = SimConfig(x0=150.0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=2026)
+    report = simulate(spec_nh, table_feedback(nh_table), cfg)
+    assert report == simulate(spec_nh, lambda x: pchip_policy(nh_table, x)[1:], cfg)
+    recorded = SimReport(
+        estimate=37.22823243509357, std_error=0.32661203044512954,
+        tail_bound=244.19679657886246, floor_violations=0, n_paths=2000, n_steps=500,
+        dt=0.02, horizon=10.0, seed=2026, max_wealth=11841.790179497206)
+    assert report.to_obj() == pytest.approx(recorded.to_obj(), rel=1e-9, abs=0)
 
 
 def test_tail_control_under_horizon_doubling(spec_homog):

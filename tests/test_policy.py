@@ -13,6 +13,7 @@ from consfloor import (
 )
 from consfloor.dual_solver import default_config
 from consfloor.errors import ConvexityLoss, OutOfRange
+from oracles import pchip_policy
 
 BASE = dict(r=0.03, mu=0.05, sigma=0.2, beta=0.1, p=0.5)
 
@@ -142,6 +143,8 @@ def test_extrapolation_refused(nh_table):
         value_at(nh_table, nh_table.x[-1] * 1.01)
     with pytest.raises(OutOfRange):
         policy_at(nh_table, nh_table.x[0] * 0.999999999)
+    with pytest.raises(OutOfRange):
+        policy_at(nh_table, np.array([150.0, np.nan]))
 
 
 def test_regions_single_crossing(spec_nh, nh_table):
@@ -167,3 +170,84 @@ def test_regions_all_slack_for_merton(spec_merton):
     part = regions(table)
     assert part.n_intervals == 1
     assert part.intervals[0][2] == "U"
+
+
+# tables of different node densities, spans and regimes for the
+# interval locator: (spec overrides, solver config overrides)
+LOCATOR_TABLES = {
+    "baseline-span1e3": (dict(k=0.02, l=1.0), dict(span=1e3)),
+    "baseline-span1e4": (dict(k=0.02, l=1.0), dict(span=1e4)),
+    "fixed-floor-4096": (dict(k=0.0, l=1.0), dict(span=1e3)),
+    "fixed-floor-16384": (dict(k=0.0, l=1.0), dict(span=1e3, n_nodes=16384)),
+    "no-crossing-sweep": (dict(k=0.028, l=1.0, beta=0.048), dict(span=1e3)),
+    "p0.2-sigma0.6": (dict(k=0.02, l=1.0, p=0.2, sigma=0.6), dict(span=1e3)),
+}
+
+
+def _solve_table(spec_kw, cfg_kw):
+    spec = make_spec(**dict(BASE, **spec_kw))
+    return invert(spec, solve_dual(spec, default_config(spec, **cfg_kw)))
+
+
+@pytest.fixture(scope="module", params=sorted(LOCATOR_TABLES))
+def locator_table(request):
+    return _solve_table(*LOCATOR_TABLES[request.param])
+
+
+def _probe_points(table):
+    """Every node, both float neighbours of every node, and the midpoints."""
+    x = table.x
+    return np.concatenate([x, np.nextafter(x[1:], -np.inf), np.nextafter(x[:-1], np.inf),
+                           0.5 * (x[1:] + x[:-1])])
+
+
+def test_locator_matches_searchsorted(locator_table):
+    t = locator_table
+    pts = _probe_points(t)
+    i, dx = t._pieces.locate(pts, np.log(pts))
+    knots = np.log(t.x)
+    expected = np.minimum(np.searchsorted(knots, np.log(pts), "right") - 1, t.n_nodes - 2)
+    assert np.array_equal(i, expected)
+    assert np.array_equal(dx, np.log(pts) - knots[expected])
+    assert t._pieces.n_steps <= 3
+
+
+def test_queries_bit_identical_to_pchip(locator_table):
+    t = locator_table
+    pts = _probe_points(t)
+    V_ref, c_ref, pi_ref = pchip_policy(t, pts)
+    c, pi = policy_at(t, pts)
+    assert np.array_equal(value_at(t, pts), V_ref)
+    assert np.array_equal(c, c_ref) and np.array_equal(pi, pi_ref)
+    # the scalar form, on a spread of the same points
+    for j in np.linspace(0, len(pts) - 1, 97).astype(int):
+        assert value_at(t, float(pts[j])) == V_ref[j]
+        assert policy_at(t, float(pts[j])) == (c_ref[j], pi_ref[j])
+
+
+def test_queries_keep_input_shape(nh_table):
+    xs = np.array([[120.0, 150.0], [300.0, 400.0]])
+    c, pi = policy_at(nh_table, xs)
+    assert c.shape == pi.shape == value_at(nh_table, xs).shape == xs.shape
+    assert np.array_equal(c.ravel(), policy_at(nh_table, xs.ravel())[0])
+
+
+def test_consumption_not_below_floor_just_above_boundary():
+    """At span 1e4 the interpolated V_x and the bisected x* disagree by a
+    hair; the slack-side rule max(V_x^(1/(p-1)), k x + l) keeps c on the floor."""
+    t = _solve_table(*LOCATOR_TABLES["baseline-span1e4"])
+    (x_star,) = t.x_star_list
+    xs = np.linspace(x_star + 1e-10, x_star + 6e-7, 20_001)
+    c, _ = policy_at(t, xs)
+    assert np.all(c >= t.spec.k * xs + t.spec.l)
+
+
+@pytest.mark.parametrize("span", [1e3, 1e4])
+def test_collapsed_nodes_raise_typed_error(span):
+    """At 16384 nodes the first wealth nodes coincide in ln x: invert
+    still succeeds, queries raise ConvexityLoss naming the nodes."""
+    t = _solve_table(dict(k=0.02, l=1.0), dict(span=span, n_nodes=16384))
+    for query in (policy_at, value_at):
+        with pytest.raises(ConvexityLoss, match="fewer nodes or a smaller span"):
+            query(t, 150.0)
+
