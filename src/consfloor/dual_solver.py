@@ -10,7 +10,7 @@ where G(u, y) = sup_{c >= u} (c^p / p - c y) is the consumption
 Hamiltonian.  In log price t = ln y the equation is uniformly elliptic
 (y v_y = dv/dt, y^2 v_yy = d2v/dt2 - dv/dt) and is discretized here with
 centered second-order differences and solved by damped Newton on the
-tridiagonal system.
+tridiagonal system, each step by odd-even cyclic reduction.
 
 To keep full relative accuracy near the right truncation boundary,
 where v approaches the affine asymptote V(x_e) - x_e y, the solver works
@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.linalg import solve_banded
 
 from . import closed_form
 from .errors import (
@@ -59,10 +57,15 @@ __all__ = [
     "ode_residual",
     "find_free_boundary",
     "validate_grid",
+    "pchip_coefficients",
+    "solve_tridiagonal",
 ]
 
 # trailing nodes with w below this multiple of eps * max(w) are noise
 _TRIM_FACTOR = 64.0
+# systems this small are solved by a scalar Thomas sweep; larger ones are
+# halved by cyclic reduction until they are this small
+_THOMAS_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,21 @@ class _ExcessForm:
         F[-1] = w[-1] - bc_r
         return F, G_u
 
+    def jacobian(self, t_step, y, G_u):
+        """Rows of dF/dw from residual's G_u: (lower, diag, upper), with
+        lower[i] = dF_i/dw_(i-1) and upper[i] = dF_i/dw_(i+1)."""
+        h = t_step
+        m, beta, r = self.m, self.beta, self.r
+        n = len(y)
+        lower = np.zeros(n)
+        upper = np.zeros(n)
+        diag = np.ones(n)
+        gu_term = G_u * (self.k / y[1:-1]) / (2.0 * h)
+        diag[1:-1] = beta + 2.0 * m / (h * h)
+        upper[1:-1] = (-(beta - r - m) / (2.0 * h) - m / (h * h)) + gu_term
+        lower[1:-1] = (+(beta - r - m) / (2.0 * h) - m / (h * h)) - gu_term
+        return lower, diag, upper
+
     def pointwise_v_yy(self, y, w, w_y):
         """Back v_yy out of the ODE from pointwise (w, w_y)."""
         s = y * w_y
@@ -236,39 +254,87 @@ class _ExcessForm:
         return (self.beta * w - (self.beta - self.r) * s + term) / (self.m * y * y)
 
 
+def solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solve lower[i] z[i-1] + diag[i] z[i] + upper[i] z[i+1] = rhs[i].
+
+    Odd-even cyclic reduction (Hockney, J. ACM 1965): one level
+    eliminates the odd-numbered unknowns from the even-numbered rows
+    with whole-array operations, which halves the system; below
+    _THOMAS_ROWS rows a Thomas sweep finishes, and back substitution
+    recovers the odd unknowns level by level.  There is no pivoting, as
+    in the Thomas algorithm, so the system should be diagonally
+    dominant, as the Newton Jacobians are (by beta in each interior
+    row); a zero pivot gives non-finite entries rather than an error.
+    lower[0] and upper[-1] do not enter the solution.
+    """
+    n = len(diag)
+    if n <= _THOMAS_ROWS:
+        return _thomas(lower, diag, upper, rhs)
+    n_even, n_odd = (n + 1) // 2, n // 2
+    # odd row 2j+1 couples the even unknowns j and j+1 of the reduced system
+    a_odd, b_odd, c_odd, d_odd = lower[1::2], diag[1::2], upper[1::2], rhs[1::2]
+    # even row 2j: add alpha_j times odd row 2j-1 (j >= 1) and gamma_j
+    # times odd row 2j+1 (j < n_odd), cancelling both odd unknowns
+    alpha = -lower[2::2] / b_odd[:n_even - 1]
+    gamma = -upper[:2 * n_odd:2] / b_odd
+    lower2 = np.zeros(n_even)
+    upper2 = np.zeros(n_even)
+    diag2 = diag[::2].copy()
+    rhs2 = rhs[::2].copy()
+    lower2[1:] = alpha * a_odd[:n_even - 1]
+    diag2[1:] += alpha * c_odd[:n_even - 1]
+    rhs2[1:] += alpha * d_odd[:n_even - 1]
+    upper2[:n_odd] = gamma * c_odd
+    diag2[:n_odd] += gamma * a_odd
+    rhs2[:n_odd] += gamma * d_odd
+    z_even = solve_tridiagonal(lower2, diag2, upper2, rhs2)
+    z = np.empty(n)
+    z[::2] = z_even
+    r_odd = d_odd - a_odd * z_even[:n_odd]
+    r_odd[:n_even - 1] -= c_odd[:n_even - 1] * z_even[1:]
+    z[1::2] = r_odd / b_odd
+    return z
+
+
+def _thomas(lower, diag, upper, rhs) -> np.ndarray:
+    """Thomas sweep in Python floats, for systems too small to vectorise."""
+    a, b, c, d = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    n = len(b)
+    try:
+        for i in range(1, n):
+            f = a[i] / b[i - 1]
+            b[i] -= f * c[i - 1]
+            d[i] -= f * d[i - 1]
+        d[-1] /= b[-1]
+        for i in range(n - 2, -1, -1):
+            d[i] = (d[i] - c[i] * d[i + 1]) / b[i]
+    except ZeroDivisionError:  # a zero pivot, reported as numpy division would
+        return np.full(n, np.nan)
+    return np.array(d)
+
+
 def _newton(form: _ExcessForm, cfg: SolverConfig, t_step: float, y: np.ndarray,
             w0: np.ndarray, bc_l: float, bc_r: float) -> tuple[np.ndarray, float]:
     """Damped Newton on the tridiagonal system; returns (w, residual_inf)."""
-    n = len(y)
     h = t_step
-    m, beta, r, k = form.m, form.beta, form.r, form.k
     w = w0.copy()
     F, G_u = form.residual(h, y, w, bc_l, bc_r)
     # residual evaluation noise floor: rounding of the second difference
     # amplified by m / h^2 caps how small |F| can be driven
     eps = float(np.finfo(float).eps)
-    noise_floor = 8.0 * eps * (m / (h * h)) * max(1.0, float(np.max(np.abs(w0))))
-    scale = 1.0 + beta * float(np.max(np.abs(w)))
+    noise_floor = 8.0 * eps * (form.m / (h * h)) * max(1.0, float(np.max(np.abs(w0))))
+    scale = 1.0 + form.beta * float(np.max(np.abs(w)))
     stop = max(cfg.newton_tol * scale, noise_floor)
-    diag = np.empty(n)
-    upper = np.empty(n)
-    lower = np.empty(n)
-    diag[1:-1] = beta + 2.0 * m / (h * h)
-    diag[0] = diag[-1] = 1.0
-    upper[1] = 0.0
-    lower[-2] = 0.0
-    c_up = -(beta - r - m) / (2.0 * h) - m / (h * h)
-    c_lo = +(beta - r - m) / (2.0 * h) - m / (h * h)
-    ab = np.zeros((3, n))
     for _ in range(cfg.max_iter):
         nrm = float(np.max(np.abs(F)))
         if nrm <= stop:
             return w, nrm
-        gu_term = G_u * (k / y[1:-1]) / (2.0 * h)
-        upper[2:] = c_up + gu_term
-        lower[:-2] = c_lo - gu_term
-        ab[0], ab[1], ab[2] = upper, diag, lower
-        step = solve_banded((1, 1), ab, -F)
+        step = solve_tridiagonal(*form.jacobian(h, y, G_u), -F)
+        if not np.all(np.isfinite(step)):
+            raise NoConvergence(
+                f"Newton step not finite at residual {nrm:.3e}: the Jacobian is "
+                "singular or the iterate overflowed; shrink the span")
         alpha = cfg.damping
         while True:
             trial = w + alpha * step
@@ -455,6 +521,46 @@ def ode_residual(spec: ProblemSpec, grid: DualGrid) -> float:
     return _excess_residual_inf(form, h, grid.y, w)
 
 
+def pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Monotone cubic (PCHIP) pieces through (x, y), lowest power first.
+
+    Piece i evaluates a[0][i] + a[1][i] dx + a[2][i] dx^2 + a[3][i] dx^3
+    at dx = s - x[i]; the derivative's rows are a[1:] * [[1], [2], [3]].
+    Interior slopes are Fritsch-Carlson weighted harmonic means of the
+    neighbouring secants, zero where those change sign or vanish; end
+    slopes come from the one-sided three-point rule, zeroed or clamped
+    to 3 m0 to keep shape.  Every operation is scipy's, in the order of
+    its PchipInterpolator and CubicHermiteSpline, and the tests check the
+    coefficients against scipy bit for bit.  x must be strictly
+    increasing; two points give the straight line.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    d = np.empty(len(y))
+    if len(y) == 2:
+        d[:] = m[0]
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 def find_free_boundary(spec: ProblemSpec, grid: DualGrid) -> list[tuple[float, float]]:
     """All crossings of phi(y) = y^(1/(p-1)) - (l - k v_y(y)) on the grid.
 
@@ -468,16 +574,28 @@ def find_free_boundary(spec: ProblemSpec, grid: DualGrid) -> list[tuple[float, f
     y, v_y = grid.y, grid.v_y
     t = np.log(y)
     phi = y ** (1.0 / (p - 1.0)) - (l - k * v_y)
-    interp = PchipInterpolator(t, v_y)
-
-    def phi_at(tt: float) -> float:
-        return math.exp(tt / (p - 1.0)) - (l - k * float(interp(tt)))
 
     crossings = []
     for i in np.nonzero(phi == 0.0)[0]:
         crossings.append((float(y[i]), float(-v_y[i])))
     for i in np.nonzero(phi[:-1] * phi[1:] < 0.0)[0]:
-        lo, hi = float(t[i]), float(t[i + 1])
+        # the bisection stays in [t_i, t_(i+1)), so only piece i is
+        # evaluated, in Python floats and in PPoly's operation order;
+        # its coefficients depend on the nodes i-1 .. i+2 alone
+        first = max(i - 1, 0)
+        window = slice(first, i + 3)
+        a0, a1, a2, a3 = pchip_coefficients(t[window], v_y[window])[:, i - first].tolist()
+        knot = lo = float(t[i])
+        hi = float(t[i + 1])
+
+        def v_y_at(tt: float) -> float:
+            s = tt - knot
+            s2 = s * s
+            return a0 + a1 * s + a2 * s2 + a3 * (s2 * s)
+
+        def phi_at(tt: float) -> float:
+            return math.exp(tt / (p - 1.0)) - (l - k * v_y_at(tt))
+
         f_lo = phi_at(lo)
         while hi - lo > 1e-8:
             mid = 0.5 * (lo + hi)
@@ -490,7 +608,7 @@ def find_free_boundary(spec: ProblemSpec, grid: DualGrid) -> list[tuple[float, f
             else:
                 hi = mid
         t_star = 0.5 * (lo + hi)
-        crossings.append((math.exp(t_star), float(-interp(t_star))))
+        crossings.append((math.exp(t_star), -v_y_at(t_star)))
     crossings.sort(key=lambda pair: pair[1])
     return crossings
 

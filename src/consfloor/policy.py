@@ -17,14 +17,16 @@ taken outright wherever the refined free boundaries say it binds, so
 the kink stays exact.  Queries outside the node range are refused
 rather than extrapolated.
 
-The cubic pieces are computed once per table, on the first query, and
-evaluated in the same operation order as scipy's PPoly, so values are
-bit-identical to calling a PchipInterpolator.  A query's piece is found
-without a binary search: the dual grid is uniform in ln y, so the nodes
-are nearly uniform in u = ln(x - x_e).  A bucket table over u gives a
-starting node, and a fixed number of forward comparisons against the
-ln x knots, worked out from the table when it is built, lands on the
-piece np.searchsorted(ln x_nodes, ln x, "right") - 1 would pick.
+The cubic pieces are computed once per table, on the first query, by
+dual_solver.pchip_coefficients, which repeats the operations of scipy's
+PchipInterpolator, and are evaluated in the operation order of scipy's
+PPoly; the tests check the values against scipy bit for bit.  A
+query's piece is found without a binary search: the dual grid is
+uniform in ln y, so the nodes are nearly uniform in u = ln(x - x_e).
+A bucket table over u gives a starting node, and a fixed number of
+forward comparisons against the ln x knots, worked out from the table
+when it is built, lands on the piece
+np.searchsorted(ln x_nodes, ln x, "right") - 1 would pick.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .dual_solver import DualGrid, find_free_boundary
+from .dual_solver import DualGrid, find_free_boundary, pchip_coefficients
 from .errors import ConvexityLoss, OutOfRange
 from .params import ProblemSpec
 
@@ -103,6 +104,8 @@ class PolicyTable:
 _BUCKETS_PER_PIECE = 2
 # bucket-coordinate margin that absorbs rounding in ln(x - x_e)
 _BUCKET_SLACK = 1e-6
+# differentiating a cubic's rows a[1:] multiplies them by their powers
+_POWERS = np.array([[1.0], [2.0], [3.0]])
 
 
 class _Pieces:
@@ -124,11 +127,10 @@ class _Pieces:
                 "solve with fewer nodes or a smaller span")
         if not x[0] > x_e:
             raise ConvexityLoss(f"first wealth node {float(x[0])!r} not above x_e = {x_e!r}")
-        log_vx = PchipInterpolator(s, np.log(table.V_x))
         self.knots = s
-        self.value = np.ascontiguousarray(PchipInterpolator(s, table.V).c[::-1])
-        self.log_vx = np.ascontiguousarray(log_vx.c[::-1])
-        self.slope = np.ascontiguousarray(log_vx.derivative().c[::-1])
+        self.value = pchip_coefficients(s, table.V)
+        self.log_vx = pchip_coefficients(s, np.log(table.V_x))
+        self.slope = self.log_vx[1:] * _POWERS
 
         # bucket b holds the queries whose coordinate f = (u - u_0) / h
         # truncates to b; its start is the last node sure to lie below them

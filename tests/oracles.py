@@ -5,13 +5,15 @@ significant digits, deliberately avoiding the package's own code paths:
 roots come from bisection rather than the quadratic formula, the
 two-branch dual coefficients from the explicit solved expressions rather
 than a linear solve, and the consumption Hamiltonian from brute-force
-grid maximization.  pchip_policy is the one floating-point reference:
-the table policy evaluated through scipy's own PchipInterpolator
-objects and interval search, which the package must reproduce bit for
-bit.
+grid maximization.  pchip_policy and pchip_free_boundary are the
+floating-point references: the table policy and the free-boundary
+bisection evaluated through scipy's own PchipInterpolator objects and
+interval search, which the package must reproduce bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from mpmath import mp, mpf
@@ -157,3 +159,35 @@ def pchip_policy(table, x):
     c = np.where(table.floor_binds(x), floor, np.maximum(candidate, floor))
     pi = -(spec.mu / spec.sigma**2) * x / slope
     return PchipInterpolator(knots, table.V)(s), c, pi
+
+
+def pchip_free_boundary(spec, grid):
+    """(y_star, x_star) crossings of phi(y) = y^(1/(p-1)) - (l - k v_y),
+    bisected to 1e-8 in ln y on a PchipInterpolator of v_y, sorted by
+    x_star; node ties count as crossings."""
+    p, k, l = spec.p, spec.k, spec.l
+    y, v_y = grid.y, grid.v_y
+    t = np.log(y)
+    phi = y ** (1.0 / (p - 1.0)) - (l - k * v_y)
+    interp = PchipInterpolator(t, v_y)
+
+    def phi_at(tt):
+        return math.exp(tt / (p - 1.0)) - (l - k * float(interp(tt)))
+
+    crossings = [(float(y[i]), float(-v_y[i])) for i in np.nonzero(phi == 0.0)[0]]
+    for i in np.nonzero(phi[:-1] * phi[1:] < 0.0)[0]:
+        lo, hi = float(t[i]), float(t[i + 1])
+        f_lo = phi_at(lo)
+        while hi - lo > 1e-8:
+            mid = 0.5 * (lo + hi)
+            f_mid = phi_at(mid)
+            if f_mid == 0.0:
+                lo = hi = mid
+                break
+            if (f_lo < 0.0) == (f_mid < 0.0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        t_star = 0.5 * (lo + hi)
+        crossings.append((math.exp(t_star), float(-interp(t_star))))
+    return sorted(crossings, key=lambda pair: pair[1])

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import consfloor
 from consfloor.cli import main
 from consfloor.serialize import read_policy_csv, sha256_file
 
@@ -181,3 +184,42 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "consfloor" in proc.stdout
+
+
+# solve and verify the baseline with scipy blocked: any scipy import raises
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from consfloor.cli import main
+config, out = sys.argv[1:]
+sys.exit(main(["solve", "--config", config, "--out", out, "--span", "1e3"])
+         or main(["verify", "--config", config, "--out", out]))
+"""
+
+_IMPORTS_NO_SCIPY = """
+import sys
+import consfloor
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "consfloor"
+import consfloor.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "consfloor.cli"
+"""
+
+
+def _run_package_python(*args):
+    src = str(Path(consfloor.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True,
+                          env=env)
+
+
+def test_solve_and_verify_run_without_scipy(nh_config, tmp_path):
+    out_dir = tmp_path / "run"
+    proc = _run_package_python(_WITHOUT_SCIPY, str(nh_config), str(out_dir))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out_dir / "report.json").read_text())["overall"] is True
+
+
+def test_package_import_loads_no_scipy():
+    proc = _run_package_python(_IMPORTS_NO_SCIPY)
+    assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,13 @@ from consfloor import (
     ode_residual,
     solve_dual,
 )
-from consfloor.dual_solver import default_config, validate_grid
+from consfloor import dual_solver
+from consfloor.dual_solver import (
+    default_config,
+    pchip_coefficients,
+    solve_tridiagonal,
+    validate_grid,
+)
 from consfloor.errors import (
     ConvexityLoss,
     DomainError,
@@ -267,3 +273,189 @@ def test_validate_grid_detects_corruption(spec_si, si_sol):
                    v_yy=-grid.v_yy, residual_inf=0.0)
     with pytest.raises(ConvexityLoss):
         validate_grid(spec_si, bad)
+
+
+# ---------------------------------------------------------------- tridiagonal solve
+
+def _dense(lower, diag, upper):
+    n = len(diag)
+    A = np.zeros((n, n))
+    i = np.arange(n)
+    A[i, i] = diag
+    A[i[1:], i[:-1]] = lower[1:]
+    A[i[:-1], i[1:]] = upper[:-1]
+    return A
+
+
+def _rel_err(z, ref):
+    return float(np.max(np.abs(z - ref)) / np.max(np.abs(ref)))
+
+
+# around the Thomas hand-over (32 rows) and odd and even sizes at every level
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 34, 4096, 4097])
+def test_tridiagonal_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    lower, upper = rng.uniform(-1.0, 1.0, (2, n))
+    diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+    rhs = rng.normal(size=n)
+    ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
+    # the corner entries lie outside the matrix and must not be read
+    lower[0] = upper[-1] = np.nan
+    z = solve_tridiagonal(lower, diag, upper, rhs)
+    assert _rel_err(z, ref) <= 1e-12
+
+
+def _newton_systems(spec, cfg):
+    """(lower, diag, upper, rhs) of the first Newton step and of one at
+    the converged (trimmed) solution."""
+    form = dual_solver._ExcessForm(spec)
+    t = np.linspace(math.log(cfg.y_min), math.log(cfg.y_max), cfg.n_nodes)
+    h, y = float(t[1] - t[0]), np.exp(t)
+    w0 = form.base_w(y) + dual_solver._offset_band_top(spec, cfg.y_min) / 2.0
+    w0[-1] = 0.0
+    grid = solve_dual(spec, cfg)
+    w = grid.v - (spec.v_xe - spec.x_e * grid.y)
+    for yy, ww in ((y, w0), (grid.y, w)):
+        F, G_u = form.residual(h, yy, ww, ww[0], ww[-1])
+        assert np.any(G_u != 0.0)  # the floor binds on part of the grid
+        yield (*form.jacobian(h, yy, G_u), -F)
+
+
+@pytest.mark.parametrize("market", [{}, dict(p=0.2, sigma=0.6)], ids=["baseline", "p0.2-sigma0.6"])
+def test_tridiagonal_matches_lapack_on_newton_jacobians(market):
+    """Both solves are backward stable to a few eps; the Jacobians' condition
+    numbers (about 3e6 on the baseline) let the two answers differ by
+    about 1e-12, so the forward comparison allows 1e-11."""
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
+    spec = make_spec(**dict(BASE, **market), k=0.02, l=1.0)
+    for lower, diag, upper, rhs in _newton_systems(spec, default_config(spec, span=1e3)):
+        ab = np.zeros((3, len(diag)))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper[:-1], diag, lower[1:]
+        z = solve_tridiagonal(lower, diag, upper, rhs)
+        assert _rel_err(z, solve_banded((1, 1), ab, rhs)) <= 1e-11
+        residual = diag * z - rhs
+        residual[1:] += lower[1:] * z[:-1]
+        residual[:-1] += upper[:-1] * z[1:]
+        row_norm = np.max(np.abs(lower) + np.abs(diag) + np.abs(upper))
+        assert np.max(np.abs(residual)) <= 4 * np.finfo(float).eps * row_norm * np.max(np.abs(z))
+
+
+@pytest.mark.parametrize("n", [8, 100])
+def test_tridiagonal_zero_pivot_gives_nonfinite(n):
+    ones = np.ones(n)
+    with np.errstate(all="ignore"):
+        z = solve_tridiagonal(ones, np.zeros(n), ones, ones)
+    assert not np.all(np.isfinite(z))
+
+
+def test_nonfinite_newton_step_raises(spec_nh, monkeypatch):
+    cfg = default_config(spec_nh, span=1e3)
+    monkeypatch.setattr(dual_solver, "solve_tridiagonal",
+                        lambda lower, diag, upper, rhs: np.full(len(diag), np.nan))
+    with pytest.raises(NoConvergence, match="not finite"):
+        solve_dual(spec_nh, cfg)
+
+
+def test_nan_iterate_raises_instead_of_propagating(spec_nh):
+    cfg = default_config(spec_nh, span=1e3, n_nodes=256)
+    form = dual_solver._ExcessForm(spec_nh)
+    t = np.linspace(math.log(cfg.y_min), math.log(cfg.y_max), cfg.n_nodes)
+    w0 = form.base_w(np.exp(t)) + 1.0
+    w0[100] = np.nan
+    with pytest.raises(NoConvergence, match="not finite"):
+        dual_solver._newton(form, cfg, float(t[1] - t[0]), np.exp(t), w0, w0[0], 0.0)
+
+
+# ---------------------------------------------------------------- PCHIP coefficients
+
+_POWERS = np.array([[1.0], [2.0], [3.0]])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_pchip_exact(x, y):
+    """pchip_coefficients and its derivative rows equal scipy's bit for bit."""
+    ref = pytest.importorskip("scipy.interpolate").PchipInterpolator(x, y)
+    a = pchip_coefficients(x, y)
+    assert np.array_equal(_bits(a), _bits(ref.c[::-1]))
+    assert np.array_equal(_bits(a[1:] * _POWERS), _bits(ref.derivative().c[::-1]))
+    return a
+
+
+def test_pchip_flat_segment():
+    a = _assert_pchip_exact(np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+                            np.array([0.0, 1.0, 1.0, 2.0, 4.0]))
+    assert a[1][1] == a[1][2] == 0.0  # both ends of the flat secant
+
+
+def test_pchip_interior_sign_change():
+    a = _assert_pchip_exact(np.array([0.0, 1.0, 2.5, 3.0, 5.0]),
+                            np.array([0.0, 2.0, 1.0, 1.5, 0.5]))
+    assert a[1][1] == a[1][2] == a[1][3] == 0.0
+
+
+def test_pchip_end_slope_zeroed():
+    # one-sided estimate (3 m0 - m1) / 2 = -0.5 has the wrong sign
+    a = _assert_pchip_exact(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 5.0, 6.0]))
+    assert a[1][0] == 0.0 and a[1][1] != 0.0
+
+
+def test_pchip_end_slope_clamped():
+    # secants 1 then -10: the estimate 6.5 exceeds 3 m0 and is clamped
+    a = _assert_pchip_exact(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, -9.0, -8.0]))
+    assert a[1][0] == 3.0
+
+
+def test_pchip_three_and_two_points():
+    _assert_pchip_exact(np.array([0.0, 0.5, 2.0]), np.array([1.0, 3.0, 2.0]))
+    a = _assert_pchip_exact(np.array([1.0, 3.0]), np.array([2.0, -1.0]))
+    assert a[2][0] == a[3][0] == 0.0  # the straight line
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pchip_random_data(seed):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.01, 1.0, 200))
+    y = np.round(rng.normal(size=200), 1)  # rounding makes some secants flat
+    _assert_pchip_exact(x, y)
+
+
+# ---------------------------------------------------------------- solved markets
+
+# the 3x3 (k, beta) acceptance sweep, the baseline and the fixed floor
+SOLVED_MARKETS = (
+    [dict(k=k, l=1.0, beta=beta) for k in (0.005, 0.015, 0.028) for beta in (0.048, 0.06, 0.1)]
+    + [dict(k=0.02, l=1.0), dict(k=0.0, l=1.0)])
+
+
+@pytest.fixture(scope="module")
+def solved_markets():
+    out = []
+    for overrides in SOLVED_MARKETS:
+        spec = make_spec(**dict(BASE, **overrides))
+        out.append((spec, solve_dual(spec, default_config(spec, span=1e3))))
+    return out
+
+
+def test_pchip_exact_on_solved_tables(solved_markets):
+    from consfloor import invert
+    for spec, grid in solved_markets:
+        _assert_pchip_exact(np.log(grid.y), grid.v_y)
+        table = invert(spec, grid)
+        s = np.log(table.x)
+        _assert_pchip_exact(s, table.V)
+        _assert_pchip_exact(s, np.log(table.V_x))
+        pieces = table._pieces
+        assert np.array_equal(_bits(pieces.value), _bits(pchip_coefficients(s, table.V)))
+        assert np.array_equal(_bits(pieces.slope),
+                              _bits(pchip_coefficients(s, np.log(table.V_x))[1:] * _POWERS))
+
+
+def test_free_boundary_bit_identical_to_scipy_bisection(solved_markets):
+    for spec, grid in solved_markets:
+        crossings = find_free_boundary(spec, grid)
+        assert crossings == oracles.pchip_free_boundary(spec, grid)
+        # seven of the eleven markets have kappa > k and a boundary to bisect
+        assert len(crossings) == (1 if spec.kappa > spec.k else 0)
