@@ -26,7 +26,6 @@ from .dual_solver import (
     default_config,
     find_free_boundary,
     hamiltonian,
-    homogeneous_dual_grid,
     ode_residual,
     solve_dual,
 )
@@ -41,16 +40,10 @@ from .montecarlo import (
     table_feedback,
 )
 from .params import (
-    ConstraintParams,
-    DerivedQuantities,
-    MarketParams,
-    PreferenceParams,
     ProblemCase,
     ProblemSpec,
     WealthVerdict,
     check_initial_wealth,
-    classify,
-    derive,
     load_config,
     make_spec,
     parse_config,
@@ -62,16 +55,15 @@ __all__ = [
     "__version__",
     "errors",
     # params
-    "MarketParams", "PreferenceParams", "ConstraintParams", "DerivedQuantities",
-    "ProblemCase", "ProblemSpec", "WealthVerdict", "make_spec", "derive",
-    "classify", "check_initial_wealth", "load_config", "parse_config",
+    "ProblemCase", "ProblemSpec", "WealthVerdict", "make_spec",
+    "check_initial_wealth", "load_config", "parse_config",
     # closed forms
     "merton_value", "merton_policy", "homogeneous_coef", "homogeneous_value",
     "homogeneous_policy", "quadratic_roots", "StateIndependentSolution",
     "solve_state_independent",
     # dual solver
     "SolverConfig", "DualGrid", "default_config", "hamiltonian", "solve_dual",
-    "homogeneous_dual_grid", "ode_residual", "find_free_boundary",
+    "ode_residual", "find_free_boundary",
     # policy
     "PolicyTable", "RegionPartition", "invert", "value_at", "policy_at", "regions",
     # verification

@@ -15,21 +15,18 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__, dual_solver, montecarlo, policy, serialize, verification
 from .errors import Error, NoConvergence
-from .params import ProblemCase, ProblemSpec, check_initial_wealth, load_config
+from .params import ProblemSpec, check_initial_wealth, load_config
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
-
-_CLOSED_FORM_CASES = (ProblemCase.MERTON_UNCONSTRAINED, ProblemCase.HOMOGENEOUS)
-_SOLVABLE_CASES = _CLOSED_FORM_CASES + (
-    ProblemCase.STATE_INDEPENDENT, ProblemCase.NON_HOMOGENEOUS)
 
 
 def _utc_now() -> str:
@@ -55,13 +52,13 @@ def _update_manifest(out_dir: Path, command: str, config_path: Path, outputs: li
     serialize.write_json(manifest_path, {"runs": runs})
 
 
-def _derived_obj(spec: ProblemSpec) -> dict:
+def _spec_obj(spec: ProblemSpec) -> dict:
     obj = {
         "case": spec.case.value,
         "kappa": spec.kappa,
         "merton_fraction": spec.merton_fraction,
     }
-    if spec.derived.floor_sustainable:
+    if math.isfinite(spec.x_e):
         obj.update(x_e=spec.x_e, c_e=spec.c_e, v_xe=spec.v_xe)
     else:
         obj.update(x_e=None, c_e=None, v_xe=None)
@@ -70,7 +67,7 @@ def _derived_obj(spec: ProblemSpec) -> dict:
 
 def cmd_classify(args) -> int:
     spec, x0 = load_config(args.config)
-    obj = _derived_obj(spec)
+    obj = _spec_obj(spec)
     if x0 is not None:
         obj["x0"] = x0
         try:
@@ -89,18 +86,11 @@ def _solve_to_grid(spec: ProblemSpec, args):
     cfg = dual_solver.default_config(
         spec, span=args.span, n_nodes=args.nodes,
         newton_tol=args.newton_tol, max_iter=args.max_iter)
-    if spec.case in _CLOSED_FORM_CASES:
-        return dual_solver.homogeneous_dual_grid(spec, cfg), cfg
     return dual_solver.solve_dual(spec, cfg), cfg
 
 
 def cmd_solve(args) -> int:
     spec, _ = load_config(args.config)
-    if spec.case not in _SOLVABLE_CASES:
-        raise Error(f"case {spec.case.value} is not solvable: "
-                    + ("no admissible strategy exists"
-                       if spec.case is ProblemCase.INFEASIBLE_ALL
-                       else "value may be infinite (kappa <= 0)"))
     grid, cfg = _solve_to_grid(spec, args)
     table = policy.invert(spec, grid)
 
@@ -108,7 +98,7 @@ def cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dual_bytes = serialize.write_dual_csv(out_dir / "dual.csv", grid)
     policy_bytes = serialize.write_policy_csv(out_dir / "policy.csv", table)
-    summary = _derived_obj(spec)
+    summary = _spec_obj(spec)
     summary.update({
         "x_star_list": list(table.x_star_list),
         "residual_inf": grid.residual_inf,
@@ -157,7 +147,7 @@ def _build_policy(spec: ProblemSpec, name: str, x0: float, args):
     if check_initial_wealth(spec, x0).marginal:
         # unique admissible strategy at marginal wealth
         return montecarlo.floor_feedback(spec)
-    if spec.case in _CLOSED_FORM_CASES:
+    if spec.l == 0.0:
         return montecarlo.homogeneous_feedback(spec)
     grid, _ = _solve_to_grid(spec, args)
     return montecarlo.table_feedback(policy.invert(spec, grid))

@@ -26,6 +26,9 @@ grid; they correspond to wealths within ~1e-11 of x_e.
 Truncation boundary conditions: w(y_max) = 0 (the exact limit), and
 w(y_min) set from the proportional-floor asymptote plus an additive
 offset calibrated by one solve / extrapolate / re-solve pass.
+
+For l = 0 (Merton and the proportional floor) the dual is explicit, and
+solve_dual evaluates it on the same grid instead of running Newton.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .errors import (
     KappaNonPositive,
     NoConvergence,
     ParameterError,
-    UnsupportedCase,
 )
 from .params import ProblemCase, ProblemSpec
 
@@ -53,7 +55,6 @@ __all__ = [
     "default_config",
     "hamiltonian",
     "solve_dual",
-    "homogeneous_dual_grid",
     "ode_residual",
     "find_free_boundary",
     "validate_grid",
@@ -77,7 +78,6 @@ class SolverConfig:
     n_nodes: int = 4096
     newton_tol: float = 1e-10
     max_iter: int = 60
-    damping: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.y_min < self.y_max):
@@ -86,8 +86,6 @@ class SolverConfig:
             raise ParameterError(f"require n_nodes >= 64, got {self.n_nodes}")
         if not self.newton_tol > 0.0:
             raise ParameterError("newton_tol must be > 0")
-        if not 0.0 < self.damping <= 1.0:
-            raise ParameterError("damping must be in (0, 1]")
 
 
 def default_config(spec: ProblemSpec, span: float = 1e4, n_nodes: int = 4096,
@@ -95,8 +93,9 @@ def default_config(spec: ProblemSpec, span: float = 1e4, n_nodes: int = 4096,
     """Log grid centered on the dual price where the floor constraint kinks.
 
     y_ref = c_e^(p-1) for l > 0 problems; for l = 0 the marginal value at
-    x = 1 is used instead.
+    x = 1 is used instead.  Raises the typed error of an unsolvable case.
     """
+    _require_solvable(spec)
     if span <= 1.0:
         raise ParameterError("span must exceed 1")
     if spec.c_e > 0.0 and math.isfinite(spec.c_e):
@@ -335,7 +334,7 @@ def _newton(form: _ExcessForm, cfg: SolverConfig, t_step: float, y: np.ndarray,
             raise NoConvergence(
                 f"Newton step not finite at residual {nrm:.3e}: the Jacobian is "
                 "singular or the iterate overflowed; shrink the span")
-        alpha = cfg.damping
+        alpha = 1.0
         while True:
             trial = w + alpha * step
             F_t, G_u_t = form.residual(h, y, trial, bc_l, bc_r)
@@ -426,29 +425,35 @@ def _derivative_arrays(form: _ExcessForm, t_step: float, y: np.ndarray,
     return w_y, w_yy
 
 
-def solve_dual(spec: ProblemSpec, cfg: SolverConfig | None = None) -> DualGrid:
-    """Solve the dual ODE for a floor problem with l > 0.
-
-    Two Newton passes: the first with the left boundary offset at the
-    midpoint of its proven band, the second after calibrating the offset
-    against the interior solution.  Raises NoConvergence or
-    ConvexityLoss (the latter usually means the truncation is too
-    tight).
-    """
+def _require_solvable(spec: ProblemSpec):
     if spec.case is ProblemCase.INFEASIBLE_ALL:
         raise InfeasibleProblem("k >= r with l > 0: no admissible strategy")
     if spec.case is ProblemCase.VALUE_POSSIBLY_INFINITE:
         raise KappaNonPositive(f"kappa={spec.kappa} <= 0: value may be infinite")
-    if spec.case in (ProblemCase.MERTON_UNCONSTRAINED, ProblemCase.HOMOGENEOUS):
-        raise UnsupportedCase(
-            "l = 0 problems have a closed form; use homogeneous_dual_grid")
+
+
+def solve_dual(spec: ProblemSpec, cfg: SolverConfig | None = None) -> DualGrid:
+    """Solve the dual ODE on the grid of cfg, for every solvable case.
+
+    For l = 0 the dual is explicit, v = (1-p)/p a y^(p/(p-1)) with
+    a = (p * homogeneous_coef)^(1/(1-p)), and is evaluated on the nodes.
+    For l > 0, two Newton passes: the first with the left boundary
+    offset at the midpoint of its proven band, the second after
+    calibrating the offset against the interior solution.  Raises
+    InfeasibleProblem or KappaNonPositive for the unsolvable cases, and
+    NoConvergence or ConvexityLoss (the latter usually means the
+    truncation is too tight).
+    """
+    _require_solvable(spec)
     if cfg is None:
         cfg = default_config(spec)
+    t = np.linspace(math.log(cfg.y_min), math.log(cfg.y_max), cfg.n_nodes)
+    y = np.exp(t)
+    if spec.l == 0.0:
+        return _homogeneous_grid(spec, y)
 
     form = _ExcessForm(spec)
-    t = np.linspace(math.log(cfg.y_min), math.log(cfg.y_max), cfg.n_nodes)
     h = float(t[1] - t[0])
-    y = np.exp(t)
     bc_r = 0.0
 
     delta = _offset_band_top(spec, cfg.y_min) / 2.0
@@ -476,19 +481,10 @@ def solve_dual(spec: ProblemSpec, cfg: SolverConfig | None = None) -> DualGrid:
     return grid
 
 
-def homogeneous_dual_grid(spec: ProblemSpec, cfg: SolverConfig | None = None) -> DualGrid:
-    """Exact dual grid for the l = 0 closed forms, on the same schema.
-
-    Lets the policy inversion and exports treat proportional-floor and
-    unconstrained problems uniformly.
-    """
-    if spec.case not in (ProblemCase.MERTON_UNCONSTRAINED, ProblemCase.HOMOGENEOUS):
-        raise UnsupportedCase(f"homogeneous dual grid requires l = 0, got case {spec.case.value}")
-    if cfg is None:
-        cfg = default_config(spec)
+def _homogeneous_grid(spec: ProblemSpec, y: np.ndarray) -> DualGrid:
+    """The exact l = 0 dual on the nodes y, with its discrete residual."""
     p = spec.p
     apow = (p * closed_form.homogeneous_coef(spec)) ** (1.0 / (1.0 - p))
-    y = np.exp(np.linspace(math.log(cfg.y_min), math.log(cfg.y_max), cfg.n_nodes))
     v = (1.0 - p) / p * apow * y ** (p / (p - 1.0))
     v_y = -apow * y ** (1.0 / (p - 1.0))
     v_yy = apow / (1.0 - p) * y ** ((2.0 - p) / (p - 1.0))

@@ -162,8 +162,10 @@ def floor_feedback(spec: ProblemSpec) -> AffinePolicy:
 
 def homogeneous_feedback(spec: ProblemSpec) -> AffinePolicy:
     """Optimal policy for l = 0: c = max(kappa, k) x."""
-    if spec.l != 0.0 or spec.kappa <= 0.0:
-        raise ParameterError("homogeneous feedback requires l = 0 and kappa > 0")
+    if spec.l != 0.0:
+        raise ParameterError("homogeneous feedback requires l = 0")
+    if spec.kappa <= 0.0:
+        raise KappaNonPositive(f"kappa={spec.kappa} <= 0: value may be infinite")
     return AffinePolicy(c1=max(spec.kappa, spec.k), c0=0.0,
                         pi1=spec.merton_fraction, k=spec.k, l=spec.l)
 

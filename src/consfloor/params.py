@@ -1,4 +1,5 @@
-"""Problem parameters, derived constants, and case classification.
+"""Problem parameters, derived constants, and case classification, held
+together in one frozen ProblemSpec.
 
 The market is Black-Scholes: a riskless account earning r and one risky
 asset with excess drift mu and volatility sigma.  The investor draws
@@ -14,9 +15,11 @@ Everything downstream keys off a handful of derived constants:
     c_e = k*x_e + l         perpetual floor consumption at x_e
     v_xe = c_e^p / (beta p) value of holding wealth x_e forever
 
-Parameters are validated eagerly at construction; downstream code
-assumes validity.  Case boundaries (k = r, kappa = 0, ...) use exact
-floating-point comparison: rounding is the caller's responsibility.
+ProblemSpec(r, mu, sigma, beta, p, k=0.0, l=0.0) validates the seven
+parameters eagerly and sets the derived constants and the case tag as
+fields; downstream code assumes validity.  Case boundaries (k = r,
+kappa = 0, ...) use exact floating-point comparison: rounding is the
+caller's responsibility.
 """
 
 from __future__ import annotations
@@ -25,90 +28,20 @@ import enum
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, InfeasibleWealth, ParameterError
 
 __all__ = [
-    "MarketParams",
-    "PreferenceParams",
-    "ConstraintParams",
-    "DerivedQuantities",
     "ProblemCase",
     "ProblemSpec",
     "WealthVerdict",
     "make_spec",
-    "derive",
-    "classify",
     "check_initial_wealth",
     "load_config",
     "parse_config",
 ]
-
-
-@dataclass(frozen=True)
-class MarketParams:
-    """Riskless rate r >= 0, excess drift mu > 0, volatility sigma > 0."""
-
-    r: float
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ParameterError(f"require r >= 0, got r={self.r}")
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ParameterError(f"require mu > 0, got mu={self.mu}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ParameterError(f"require sigma > 0, got sigma={self.sigma}")
-
-
-@dataclass(frozen=True)
-class PreferenceParams:
-    """Discount rate beta > 0 and CRRA exponent 0 < p < 1."""
-
-    beta: float
-    p: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ParameterError(f"require beta > 0, got beta={self.beta}")
-        if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
-            raise ParameterError(f"require 0 < p < 1, got p={self.p}")
-
-
-@dataclass(frozen=True)
-class ConstraintParams:
-    """Consumption floor c >= k*x + l with k >= 0, l >= 0."""
-
-    k: float
-    l: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k >= 0.0):
-            raise ParameterError(f"require k >= 0, got k={self.k}")
-        if not (math.isfinite(self.l) and self.l >= 0.0):
-            raise ParameterError(f"require l >= 0, got l={self.l}")
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Constants derived from the primitive parameters.
-
-    x_e, c_e and v_xe are +inf when the floor cannot be sustained by any
-    finite wealth (k >= r with l > 0).
-    """
-
-    kappa: float
-    merton_fraction: float
-    x_e: float
-    c_e: float
-    v_xe: float
-
-    @property
-    def floor_sustainable(self) -> bool:
-        return math.isfinite(self.x_e)
 
 
 class ProblemCase(enum.Enum):
@@ -122,113 +55,81 @@ class ProblemCase(enum.Enum):
     VALUE_POSSIBLY_INFINITE = "ValuePossiblyInfinite"
 
 
-def derive(market: MarketParams, pref: PreferenceParams, cons: ConstraintParams) -> DerivedQuantities:
-    """Compute the derived constants for a validated parameter tuple."""
-    r, mu, sigma = market.r, market.mu, market.sigma
-    beta, p = pref.beta, pref.p
-    k, l = cons.k, cons.l
-
-    kappa = (beta - p * (mu * mu / (2.0 * sigma * sigma * (1.0 - p)) + r)) / (1.0 - p)
-    fraction = mu / (sigma * sigma * (1.0 - p))
-
-    if l == 0.0:
-        x_e, c_e, v_xe = 0.0, 0.0, 0.0
-    elif k < r:
-        x_e = l / (r - k)
-        c_e = k * x_e + l
-        v_xe = c_e**p / (beta * p)
-    else:
-        x_e = c_e = v_xe = math.inf
-    return DerivedQuantities(kappa=kappa, merton_fraction=fraction, x_e=x_e, c_e=c_e, v_xe=v_xe)
-
-
-def classify(market: MarketParams, pref: PreferenceParams, cons: ConstraintParams,
-             derived: DerivedQuantities | None = None) -> ProblemCase:
-    """Assign the unique case tag.
-
-    Infeasibility (k >= r with l > 0) dominates everything; kappa <= 0
-    dominates the remaining tags.
-    """
-    d = derived if derived is not None else derive(market, pref, cons)
-    k, l = cons.k, cons.l
-    if l > 0.0 and k >= market.r:
-        return ProblemCase.INFEASIBLE_ALL
-    if d.kappa <= 0.0:
-        return ProblemCase.VALUE_POSSIBLY_INFINITE
-    if l == 0.0:
-        return ProblemCase.MERTON_UNCONSTRAINED if k == 0.0 else ProblemCase.HOMOGENEOUS
-    if k == 0.0:
-        return ProblemCase.STATE_INDEPENDENT
-    return ProblemCase.NON_HOMOGENEOUS
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated problem instance: parameters plus derived constants and case.
+    """Validated problem instance: the seven parameters, the derived
+    constants and the case tag.
+
+    Market: riskless rate r >= 0, excess drift mu > 0, volatility
+    sigma > 0.  Preferences: discount rate beta > 0, CRRA exponent
+    0 < p < 1.  Floor: c >= k*x + l with k >= 0, l >= 0.  x_e, c_e and
+    v_xe are +inf when no finite wealth sustains the floor (k >= r with
+    l > 0).  Case: infeasibility (k >= r with l > 0) dominates
+    everything; kappa <= 0 dominates the remaining tags.
 
     Immutable after construction; safe to share between threads.
     """
 
-    market: MarketParams
-    pref: PreferenceParams
-    cons: ConstraintParams
-    derived: DerivedQuantities
-    case: ProblemCase
+    r: float
+    mu: float
+    sigma: float
+    beta: float
+    p: float
+    k: float = 0.0
+    l: float = 0.0
+    kappa: float = field(init=False)
+    merton_fraction: float = field(init=False)
+    x_e: float = field(init=False)
+    c_e: float = field(init=False)
+    v_xe: float = field(init=False)
+    case: ProblemCase = field(init=False)
 
-    @classmethod
-    def build(cls, market: MarketParams, pref: PreferenceParams, cons: ConstraintParams) -> "ProblemSpec":
-        d = derive(market, pref, cons)
-        return cls(market=market, pref=pref, cons=cons, derived=d,
-                   case=classify(market, pref, cons, d))
+    def __post_init__(self):
+        r, mu, sigma, beta, p, k, l = (self.r, self.mu, self.sigma, self.beta,
+                                       self.p, self.k, self.l)
+        if not (math.isfinite(r) and r >= 0.0):
+            raise ParameterError(f"require r >= 0, got r={r}")
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise ParameterError(f"require mu > 0, got mu={mu}")
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ParameterError(f"require sigma > 0, got sigma={sigma}")
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise ParameterError(f"require beta > 0, got beta={beta}")
+        if not (math.isfinite(p) and 0.0 < p < 1.0):
+            raise ParameterError(f"require 0 < p < 1, got p={p}")
+        if not (math.isfinite(k) and k >= 0.0):
+            raise ParameterError(f"require k >= 0, got k={k}")
+        if not (math.isfinite(l) and l >= 0.0):
+            raise ParameterError(f"require l >= 0, got l={l}")
 
-    # convenience accessors used heavily by the numerical modules
-    @property
-    def r(self) -> float:
-        return self.market.r
+        kappa = (beta - p * (mu * mu / (2.0 * sigma * sigma * (1.0 - p)) + r)) / (1.0 - p)
+        if l == 0.0:
+            x_e, c_e, v_xe = 0.0, 0.0, 0.0
+        elif k < r:
+            x_e = l / (r - k)
+            c_e = k * x_e + l
+            v_xe = c_e**p / (beta * p)
+        else:
+            x_e = c_e = v_xe = math.inf
 
-    @property
-    def mu(self) -> float:
-        return self.market.mu
+        if l > 0.0 and k >= r:
+            case = ProblemCase.INFEASIBLE_ALL
+        elif kappa <= 0.0:
+            case = ProblemCase.VALUE_POSSIBLY_INFINITE
+        elif l == 0.0:
+            case = ProblemCase.MERTON_UNCONSTRAINED if k == 0.0 else ProblemCase.HOMOGENEOUS
+        elif k == 0.0:
+            case = ProblemCase.STATE_INDEPENDENT
+        else:
+            case = ProblemCase.NON_HOMOGENEOUS
 
-    @property
-    def sigma(self) -> float:
-        return self.market.sigma
-
-    @property
-    def beta(self) -> float:
-        return self.pref.beta
-
-    @property
-    def p(self) -> float:
-        return self.pref.p
-
-    @property
-    def k(self) -> float:
-        return self.cons.k
-
-    @property
-    def l(self) -> float:
-        return self.cons.l
-
-    @property
-    def kappa(self) -> float:
-        return self.derived.kappa
-
-    @property
-    def merton_fraction(self) -> float:
-        return self.derived.merton_fraction
-
-    @property
-    def x_e(self) -> float:
-        return self.derived.x_e
-
-    @property
-    def c_e(self) -> float:
-        return self.derived.c_e
-
-    @property
-    def v_xe(self) -> float:
-        return self.derived.v_xe
+        set_field = object.__setattr__
+        set_field(self, "kappa", kappa)
+        set_field(self, "merton_fraction", mu / (sigma * sigma * (1.0 - p)))
+        set_field(self, "x_e", x_e)
+        set_field(self, "c_e", c_e)
+        set_field(self, "v_xe", v_xe)
+        set_field(self, "case", case)
 
     @property
     def half_sharpe_sq(self) -> float:
@@ -236,12 +137,8 @@ class ProblemSpec:
         return self.mu * self.mu / (2.0 * self.sigma * self.sigma)
 
 
-def make_spec(r: float, mu: float, sigma: float, beta: float, p: float,
-              k: float = 0.0, l: float = 0.0) -> ProblemSpec:
-    """Build a ProblemSpec from scalars."""
-    return ProblemSpec.build(MarketParams(r=r, mu=mu, sigma=sigma),
-                             PreferenceParams(beta=beta, p=p),
-                             ConstraintParams(k=k, l=l))
+# the scalar constructor by its historical name
+make_spec = ProblemSpec
 
 
 @dataclass(frozen=True)

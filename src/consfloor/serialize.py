@@ -1,15 +1,17 @@
 """Deterministic file formats: JSON and CSV writers with fixed layout.
 
-All numeric output carries 17 significant digits so that re-reading a
-file reproduces the original float64 bit patterns exactly; identical
-inputs therefore produce byte-identical files.  CSVs use '.' decimals,
-',' separators and a header row, independent of locale.
+JSON is the standard library's, indented by two spaces; its floats are
+written in Python's shortest round-trip form (repr).  CSV floats carry
+17 significant digits ('{:.16e}').  Either way re-reading a file
+reproduces the original float64 bit patterns exactly, and identical
+inputs produce byte-identical files.  CSVs use '.' decimals, ','
+separators and a header row, independent of locale.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
+import json
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,6 @@ from .params import ProblemSpec
 from .policy import PolicyTable
 
 __all__ = [
-    "fmt_float",
     "json_dumps",
     "write_json",
     "write_dual_csv",
@@ -32,61 +33,10 @@ __all__ = [
 ]
 
 
-def fmt_float(x: float) -> str:
-    """17-significant-digit decimal form of a finite float."""
-    if not math.isfinite(x):
-        raise ValueError(f"refusing to serialize non-finite float {x}")
-    s = f"{x:.17g}"
-    if not any(ch in s for ch in ".eE"):
-        s += ".0"
-    return s
-
-
-def _json_encode(obj, pieces: list, indent: int):
-    pad = " " * indent
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, str):
-        pieces.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(fmt_float(float(obj)))
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise ValueError("JSON object keys must be strings")
-            pieces.append(pad + "  " + '"' + key + '": ')
-            _json_encode(val, pieces, indent + 2)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, val in enumerate(obj):
-            pieces.append(pad + "  ")
-            _json_encode(val, pieces, indent + 2)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "]")
-    else:
-        raise ValueError(f"cannot serialize {type(obj).__name__}")
-
-
 def json_dumps(obj) -> str:
-    pieces: list[str] = []
-    _json_encode(obj, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    """Indented JSON text with a final newline; non-finite floats raise
+    ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path: str | Path, obj) -> bytes:

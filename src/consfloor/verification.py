@@ -312,15 +312,14 @@ def check_inverse_identity(grid: DualGrid, table: PolicyTable,
 
 
 def run_all(spec: ProblemSpec, grid: DualGrid, table: PolicyTable,
-            hjb_tol: float = 1e-6, sandwich_tol: float = 1e-9,
-            grad_tol: float = 1e-4) -> VerificationReport:
+            hjb_tol: float = 1e-6) -> VerificationReport:
     """Run every applicable check and bundle the results."""
     checks = [
         check_hjb_residual(spec, table, tol=hjb_tol),
-        check_sandwich(spec, table, tol=sandwich_tol),
+        check_sandwich(spec, table),
         check_vx_bound(spec, table),
         check_region_theorems(spec, table),
-        check_gradient_consistency(table, rel_tol=grad_tol),
+        check_gradient_consistency(table),
         check_dual_shape(spec, grid),
         check_primal_shape(spec, table),
         check_inverse_identity(grid, table),

@@ -5,10 +5,12 @@ import pytest
 
 from consfloor import (
     DualGrid,
+    ProblemCase,
     SolverConfig,
     find_free_boundary,
     hamiltonian,
-    homogeneous_dual_grid,
+    homogeneous_value,
+    invert,
     make_spec,
     ode_residual,
     solve_dual,
@@ -27,7 +29,6 @@ from consfloor.errors import (
     KappaNonPositive,
     NoConvergence,
     ParameterError,
-    UnsupportedCase,
 )
 
 import oracles
@@ -91,8 +92,6 @@ def test_solver_config_validation():
         SolverConfig(y_min=2.0, y_max=1.0)
     with pytest.raises(ParameterError):
         SolverConfig(y_min=0.1, y_max=1.0, n_nodes=32)
-    with pytest.raises(ParameterError):
-        SolverConfig(y_min=0.1, y_max=1.0, damping=0.0)
 
 
 def test_default_config_centering(spec_nh):
@@ -106,14 +105,46 @@ def test_default_config_centering(spec_nh):
 # ---------------------------------------------------------------- solve guards
 
 def test_solve_guards():
+    # infeasibility outranks kappa <= 0, l = 0 passes no guard, and the
+    # default grid is refused as well
+    low_beta = dict(BASE, beta=0.01)
+    infeasible = make_spec(**low_beta, k=0.05, l=1.0)
     with pytest.raises(InfeasibleProblem):
-        solve_dual(make_spec(**BASE, k=0.05, l=1.0))
+        solve_dual(infeasible)
+    with pytest.raises(InfeasibleProblem):
+        default_config(infeasible)
     with pytest.raises(KappaNonPositive):
-        solve_dual(make_spec(**dict(BASE, beta=0.01), k=0.02, l=1.0))
-    with pytest.raises(UnsupportedCase):
-        solve_dual(make_spec(**BASE))
-    with pytest.raises(UnsupportedCase):
-        homogeneous_dual_grid(make_spec(**BASE, k=0.02, l=1.0))
+        solve_dual(make_spec(**low_beta))
+
+
+# one spec per case: (spec arguments, the typed error solve_dual raises or None)
+SOLVE_CASES = {
+    ProblemCase.MERTON_UNCONSTRAINED: (BASE, None),
+    ProblemCase.HOMOGENEOUS: (dict(BASE, k=0.2), None),
+    ProblemCase.STATE_INDEPENDENT: (dict(BASE, k=0.0, l=1.0), None),
+    ProblemCase.NON_HOMOGENEOUS: (dict(BASE, k=0.02, l=1.0), None),
+    ProblemCase.INFEASIBLE_ALL: (dict(BASE, k=0.05, l=1.0), InfeasibleProblem),
+    ProblemCase.VALUE_POSSIBLY_INFINITE: (dict(BASE, beta=0.01, k=0.02, l=1.0),
+                                          KappaNonPositive),
+}
+
+
+@pytest.mark.parametrize("case", list(ProblemCase), ids=lambda case: case.value)
+def test_solve_dual_takes_every_case(case):
+    kwargs, error = SOLVE_CASES[case]
+    spec = make_spec(**kwargs)
+    assert spec.case is case
+    if error is not None:
+        with pytest.raises(error):
+            solve_dual(spec)
+        return
+    grid = solve_dual(spec, default_config(spec, span=1e3))
+    assert isinstance(grid, DualGrid)
+    if spec.l == 0.0:
+        table = invert(spec, grid)
+        rate = max(spec.kappa, spec.k)
+        np.testing.assert_allclose(table.c_star / table.x, rate, rtol=1e-12)
+        np.testing.assert_allclose(table.V, homogeneous_value(spec, table.x), rtol=1e-12)
 
 
 def test_no_convergence_surfaces(spec_nh):
@@ -257,9 +288,8 @@ def test_free_boundary_node_tie(spec_si, si_sol):
 # ---------------------------------------------------------------- closed-form grids
 
 def test_homogeneous_dual_grid_inverts_to_linear_policy(spec_homog):
-    grid = homogeneous_dual_grid(spec_homog)
+    grid = solve_dual(spec_homog)
     validate_grid(spec_homog, grid)
-    from consfloor import invert
     table = invert(spec_homog, grid)
     rate = table.c_star / table.x
     assert np.allclose(rate, max(spec_homog.kappa, spec_homog.k), rtol=1e-9)
@@ -440,7 +470,6 @@ def solved_markets():
 
 
 def test_pchip_exact_on_solved_tables(solved_markets):
-    from consfloor import invert
     for spec, grid in solved_markets:
         _assert_pchip_exact(np.log(grid.y), grid.v_y)
         table = invert(spec, grid)

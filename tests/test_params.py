@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from consfloor import (
-    ConstraintParams,
-    MarketParams,
-    PreferenceParams,
     ProblemCase,
     check_initial_wealth,
-    classify,
-    derive,
     make_spec,
     parse_config,
 )
@@ -26,22 +21,20 @@ BASE = dict(r=0.03, mu=0.05, sigma=0.2, beta=0.1, p=0.5)
     ("r", math.nan), ("sigma", math.inf),
 ])
 def test_market_validation(field, value):
-    kwargs = dict(r=0.03, mu=0.05, sigma=0.2)
-    kwargs[field] = value
     with pytest.raises(ParameterError):
-        MarketParams(**kwargs)
+        make_spec(**dict(BASE, **{field: value}))
 
 
 @pytest.mark.parametrize("beta,p", [(0.0, 0.5), (-0.1, 0.5), (0.1, 0.0), (0.1, 1.0), (0.1, 1.5)])
 def test_preference_validation(beta, p):
     with pytest.raises(ParameterError):
-        PreferenceParams(beta=beta, p=p)
+        make_spec(**dict(BASE, beta=beta, p=p))
 
 
 @pytest.mark.parametrize("k,l", [(-0.01, 0.0), (0.0, -1.0)])
 def test_constraint_validation(k, l):
     with pytest.raises(ParameterError):
-        ConstraintParams(k=k, l=l)
+        make_spec(**dict(BASE, k=k, l=l))
 
 
 def test_derive_baseline_constants():
@@ -72,7 +65,6 @@ def test_derive_floor_constants():
 def test_derive_infeasible_floor_is_infinite():
     spec = make_spec(**BASE, k=0.05, l=1.0)
     assert math.isinf(spec.x_e) and math.isinf(spec.c_e) and math.isinf(spec.v_xe)
-    assert not spec.derived.floor_sustainable
 
 
 @pytest.mark.parametrize("k,l", [(0.0, 1.0), (0.01, 1.0), (0.02, 1.0), (0.029, 2.5)])
@@ -143,16 +135,6 @@ def test_check_wealth_infeasible_all():
     spec = make_spec(**BASE, k=0.05, l=1.0)
     with pytest.raises(InfeasibleWealth):
         check_initial_wealth(spec, 1e12)
-
-
-def test_derive_classify_agree_with_standalone_ops():
-    market = MarketParams(r=0.03, mu=0.05, sigma=0.2)
-    pref = PreferenceParams(beta=0.1, p=0.5)
-    cons = ConstraintParams(k=0.02, l=1.0)
-    d = derive(market, pref, cons)
-    spec = make_spec(**BASE, k=0.02, l=1.0)
-    assert d == spec.derived
-    assert classify(market, pref, cons) is spec.case
 
 
 def test_parse_config_roundtrip():

@@ -3,7 +3,6 @@ import pytest
 
 from consfloor import (
     DualGrid,
-    homogeneous_dual_grid,
     invert,
     make_spec,
     policy_at,
@@ -166,7 +165,7 @@ def test_regions_all_constrained_when_kappa_small():
 
 
 def test_regions_all_slack_for_merton(spec_merton):
-    table = invert(spec_merton, homogeneous_dual_grid(spec_merton))
+    table = invert(spec_merton, solve_dual(spec_merton))
     part = regions(table)
     assert part.n_intervals == 1
     assert part.intervals[0][2] == "U"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from consfloor.serialize import (
-    fmt_float,
     json_dumps,
     read_dual_csv,
     read_policy_csv,
@@ -16,18 +15,24 @@ from consfloor.serialize import (
 from consfloor.errors import ConfigError
 
 
-def test_fmt_float_round_trips_exactly():
+def test_json_dumps_floats_round_trip_exactly():
     rng = np.random.default_rng(99)
     samples = list(rng.normal(size=50)) + list(10.0 ** rng.uniform(-300, 300, 50))
     samples += [0.0, -0.0, 1.0, -1.5, 1e-308, math.pi]
-    for v in samples:
-        assert float(fmt_float(float(v))) == float(v)
+    back = json.loads(json_dumps([float(v) for v in samples]))
+    for v, w in zip(samples, back, strict=True):
+        assert np.float64(w).view(np.uint64) == np.float64(v).view(np.uint64)
 
 
-def test_fmt_float_rejects_nonfinite():
+def test_json_dumps_rejects_nonfinite():
     for v in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
-            fmt_float(v)
+            json_dumps({"x": v})
+
+
+def test_json_dumps_escapes_control_characters_and_keys():
+    obj = {"out": "run\tA", "note": "line\nbreak", 'k"ey': 1.0, "back\\slash": "a\\b"}
+    assert json.loads(json_dumps(obj)) == obj
 
 
 def test_json_dumps_parses_and_is_deterministic():

@@ -4,7 +4,6 @@ import pytest
 from consfloor import (
     DualGrid,
     PolicyTable,
-    homogeneous_dual_grid,
     invert,
     make_spec,
     run_all,
@@ -52,7 +51,7 @@ def test_run_all_passes_on_fixed_floor(spec_si, si_grid, si_table):
 
 
 def test_run_all_passes_on_homogeneous(spec_homog):
-    grid = homogeneous_dual_grid(spec_homog)
+    grid = solve_dual(spec_homog)
     table = invert(spec_homog, grid)
     report = run_all(spec_homog, grid, table)
     assert report.overall, [c for c in report.checks if not c.passed]
