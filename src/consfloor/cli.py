@@ -83,9 +83,7 @@ def cmd_classify(args) -> int:
 
 
 def _solve_to_grid(spec: ProblemSpec, args):
-    cfg = dual_solver.default_config(
-        spec, span=args.span, n_nodes=args.nodes,
-        newton_tol=args.newton_tol, max_iter=args.max_iter)
+    cfg = dual_solver.default_config(spec, span=args.span, n_nodes=args.nodes)
     return dual_solver.solve_dual(spec, cfg), cfg
 
 
@@ -131,7 +129,7 @@ def cmd_verify(args) -> int:
                                 v_yy=cols["v_yy"], residual_inf=0.0)
     table = serialize.read_policy_csv(out_dir / "policy.csv", spec,
                                       summary.get("x_star_list", ()))
-    report = verification.run_all(spec, grid, table, hjb_tol=args.hjb_tol)
+    report = verification.run_all(spec, grid, table)
     serialize.write_json(out_dir / "report.json", report.to_obj())
     _update_manifest(out_dir, "verify", Path(args.config), ["report.json"])
     sys.stdout.write(serialize.json_dumps(report.to_obj()))
@@ -177,8 +175,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--span", type=float, default=1e4,
                         help="dual grid half-width as a factor of y_ref (default 1e4)")
     parser.add_argument("--nodes", type=int, default=4096, help="grid size (default 4096)")
-    parser.add_argument("--newton-tol", type=float, default=1e-10, dest="newton_tol")
-    parser.add_argument("--max-iter", type=int, default=60, dest="max_iter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the check suite on a prior solve")
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--out", required=True)
-    p_verify.add_argument("--hjb-tol", type=float, default=1e-6, dest="hjb_tol")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo a feedback policy")

@@ -67,29 +67,32 @@ _TRIM_FACTOR = 64.0
 # systems this small are solved by a scalar Thomas sweep; larger ones are
 # halved by cyclic reduction until they are this small
 _THOMAS_ROWS = 32
+# Newton stops once the max residual is below this multiple of
+# 1 + beta max|w| (or its rounding floor), and gives up after _MAX_ITER steps
+_NEWTON_TOL = 1e-10
+_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid truncation and Newton controls for solve_dual."""
+    """Price-grid truncation [y_min, y_max] and node count for solve_dual.
+
+    The Newton tolerance and iteration cap are the module constants
+    _NEWTON_TOL and _MAX_ITER.
+    """
 
     y_min: float
     y_max: float
     n_nodes: int = 4096
-    newton_tol: float = 1e-10
-    max_iter: int = 60
 
     def __post_init__(self):
         if not (0.0 < self.y_min < self.y_max):
             raise ParameterError(f"require 0 < y_min < y_max, got [{self.y_min}, {self.y_max}]")
         if self.n_nodes < 64:
             raise ParameterError(f"require n_nodes >= 64, got {self.n_nodes}")
-        if not self.newton_tol > 0.0:
-            raise ParameterError("newton_tol must be > 0")
 
 
-def default_config(spec: ProblemSpec, span: float = 1e4, n_nodes: int = 4096,
-                   **kwargs) -> SolverConfig:
+def default_config(spec: ProblemSpec, span: float = 1e4, n_nodes: int = 4096) -> SolverConfig:
     """Log grid centered on the dual price where the floor constraint kinks.
 
     y_ref = c_e^(p-1) for l > 0 problems; for l = 0 the marginal value at
@@ -102,7 +105,7 @@ def default_config(spec: ProblemSpec, span: float = 1e4, n_nodes: int = 4096,
         y_ref = spec.c_e ** (spec.p - 1.0)
     else:
         y_ref = spec.p * closed_form.homogeneous_coef(spec)
-    return SolverConfig(y_min=y_ref / span, y_max=y_ref * span, n_nodes=n_nodes, **kwargs)
+    return SolverConfig(y_min=y_ref / span, y_max=y_ref * span, n_nodes=n_nodes)
 
 
 @dataclass(frozen=True)
@@ -140,24 +143,28 @@ class DualGrid:
 def hamiltonian(spec: ProblemSpec, u, y):
     """Consumption Hamiltonian G(u, y) = sup_{c >= u} (c^p / p - c y).
 
-    Returns (G, G_u, G_y).  The floor u binds exactly when
-    y^(1/(p-1)) <= u, i.e. y >= u^(p-1):
+    Returns (G, G_u, G_y).  The floor u binds exactly when u > 0 and
+    y^(1/(p-1)) < u, i.e. y > u^(p-1); a floor u <= 0 never binds, since
+    the unconstrained maximizer y^(1/(p-1)) is positive:
 
         G   = (1-p)/p y^(p/(p-1)) if slack else u^p/p - u y
-        G_u = -(y - u^(p-1))^+
+        G_u = -(y - u^(p-1))^+  (0 where u <= 0)
         G_y = -max(y^(1/(p-1)), u)
+
+    Raises DomainError unless y > 0.
     """
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(u <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("hamiltonian requires u > 0 and y > 0")
+    u, y = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(y, dtype=float))
+    if np.any(y <= 0.0):
+        raise DomainError("hamiltonian requires y > 0")
     p = spec.p
-    u_b, y_b = np.broadcast_arrays(u, y)
-    ycrit = u_b ** (p - 1.0)
-    slack = y_b <= ycrit
-    G = np.where(slack, (1.0 - p) / p * y_b ** (p / (p - 1.0)), u_b**p / p - u_b * y_b)
-    G_u = np.where(slack, 0.0, ycrit - y_b)
-    G_y = -np.maximum(y_b ** (1.0 / (p - 1.0)), u_b)
+    pos = u > 0.0
+    # 1.0 stands in for a floor u <= 0, whose binding branch is never taken
+    u_pos = np.where(pos, u, 1.0)
+    ycrit = u_pos ** (p - 1.0)
+    binds = pos & (y > ycrit)
+    G = np.where(binds, u_pos**p / p - u_pos * y, (1.0 - p) / p * y ** (p / (p - 1.0)))
+    G_u = np.where(binds, ycrit - y, 0.0)
+    G_y = -np.maximum(y ** (1.0 / (p - 1.0)), u)
     if G.ndim == 0:
         return float(G), float(G_u), float(G_y)
     return G, G_u, G_y
@@ -313,8 +320,8 @@ def _thomas(lower, diag, upper, rhs) -> np.ndarray:
     return np.array(d)
 
 
-def _newton(form: _ExcessForm, cfg: SolverConfig, t_step: float, y: np.ndarray,
-            w0: np.ndarray, bc_l: float, bc_r: float) -> tuple[np.ndarray, float]:
+def _newton(form: _ExcessForm, t_step: float, y: np.ndarray, w0: np.ndarray,
+            bc_l: float, bc_r: float) -> tuple[np.ndarray, float]:
     """Damped Newton on the tridiagonal system; returns (w, residual_inf)."""
     h = t_step
     w = w0.copy()
@@ -324,8 +331,8 @@ def _newton(form: _ExcessForm, cfg: SolverConfig, t_step: float, y: np.ndarray,
     eps = float(np.finfo(float).eps)
     noise_floor = 8.0 * eps * (form.m / (h * h)) * max(1.0, float(np.max(np.abs(w0))))
     scale = 1.0 + form.beta * float(np.max(np.abs(w)))
-    stop = max(cfg.newton_tol * scale, noise_floor)
-    for _ in range(cfg.max_iter):
+    stop = max(_NEWTON_TOL * scale, noise_floor)
+    for _ in range(_MAX_ITER):
         nrm = float(np.max(np.abs(F)))
         if nrm <= stop:
             return w, nrm
@@ -344,7 +351,7 @@ def _newton(form: _ExcessForm, cfg: SolverConfig, t_step: float, y: np.ndarray,
             alpha *= 0.5
     raise NoConvergence(
         f"Newton stalled at residual {float(np.max(np.abs(F))):.3e} "
-        f"(tolerance {stop:.3e}) after {cfg.max_iter} iterations")
+        f"(tolerance {stop:.3e}) after {_MAX_ITER} iterations")
 
 
 def _small_y_exponents(spec: ProblemSpec) -> tuple[float, float, float]:
@@ -459,10 +466,10 @@ def solve_dual(spec: ProblemSpec, cfg: SolverConfig | None = None) -> DualGrid:
     delta = _offset_band_top(spec, cfg.y_min) / 2.0
     w0 = form.base_w(y) + delta
     w0[-1] = bc_r
-    w, _ = _newton(form, cfg, h, y, w0, form.base_w(y[0]) + delta, bc_r)
+    w, _ = _newton(form, h, y, w0, form.base_w(y[0]) + delta, bc_r)
 
     delta = _calibrate_left_offset(spec, form, y, w)
-    w, _ = _newton(form, cfg, h, y, w, form.base_w(y[0]) + delta, bc_r)
+    w, _ = _newton(form, h, y, w, form.base_w(y[0]) + delta, bc_r)
 
     # drop trailing nodes where w is below floating-point resolution
     floor = _TRIM_FACTOR * np.finfo(float).eps * float(np.max(w))

@@ -29,7 +29,7 @@ adequacy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class SimConfig:
     horizon: float = 100.0
     n_paths: int = 10_000
     seed: int = 0
-    clamp_at_floor: bool = True
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -92,18 +91,7 @@ class SimReport:
     max_wealth: float
 
     def to_obj(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "tail_bound": self.tail_bound,
-            "floor_violations": self.floor_violations,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "max_wealth": self.max_wealth,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -285,9 +273,6 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
             raise NumericalBlowup(f"non-finite state at step {i}")
         np.less(x, x_e, out=below)
         if below.any():
-            if not cfg.clamp_at_floor:
-                raise NumericalBlowup(
-                    f"state crossed below x_e at step {i} with clamping disabled")
             x[below] = x_e
             if any_absorbed:
                 below &= ~absorbed

@@ -2,7 +2,7 @@
 
 JSON is the standard library's, indented by two spaces; its floats are
 written in Python's shortest round-trip form (repr).  CSV floats carry
-17 significant digits ('{:.16e}').  Either way re-reading a file
+17 significant digits ('%.16e').  Either way re-reading a file
 reproduces the original float64 bit patterns exactly, and identical
 inputs produce byte-identical files.  CSVs use '.' decimals, ','
 separators and a header row, independent of locale.
@@ -45,41 +45,40 @@ def write_json(path: str | Path, obj) -> bytes:
     return data
 
 
-def _csv_row(values) -> str:
-    return ",".join(f"{v:.16e}" for v in values)
+_DUAL_COLUMNS = ("y", "v", "v_y", "v_yy")
+_POLICY_COLUMNS = ("x", "V", "V_x", "V_xx", "c_star", "pi_star", "region")
 
 
-def write_dual_csv(path: str | Path, grid: DualGrid) -> bytes:
-    lines = ["y,v,v_y,v_yy"]
-    for row in zip(grid.y, grid.v, grid.v_y, grid.v_yy):
-        lines.append(_csv_row(row))
+def _write_csv(path: str | Path, obj, names: tuple[str, ...], n_float_cols: int) -> bytes:
+    """Write the columns `names` of obj, one row per node, and return the
+    bytes; the first n_float_cols are floats written as '%.16e', the rest
+    as text."""
+    fmt = ",".join(["%.16e"] * n_float_cols + ["%s"] * (len(names) - n_float_cols))
+    rows = zip(*(getattr(obj, name).tolist() for name in names))
+    lines = [",".join(names)] + [fmt % row for row in rows]
     data = ("\n".join(lines) + "\n").encode("utf-8")
     Path(path).write_bytes(data)
     return data
 
 
+def write_dual_csv(path: str | Path, grid: DualGrid) -> bytes:
+    return _write_csv(path, grid, _DUAL_COLUMNS, 4)
+
+
 def read_dual_csv(path: str | Path) -> dict[str, np.ndarray]:
-    cols = _read_csv(path, ("y", "v", "v_y", "v_yy"))
+    cols = _read_csv(path, _DUAL_COLUMNS)
     return {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
 
 
 def write_policy_csv(path: str | Path, table: PolicyTable) -> bytes:
-    lines = ["x,V,V_x,V_xx,c_star,pi_star,region"]
-    for i in range(table.n_nodes):
-        nums = (table.x[i], table.V[i], table.V_x[i], table.V_xx[i],
-                table.c_star[i], table.pi_star[i])
-        lines.append(_csv_row(nums) + "," + str(table.region[i]))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(path).write_bytes(data)
-    return data
+    return _write_csv(path, table, _POLICY_COLUMNS, 6)
 
 
 def read_policy_csv(path: str | Path, spec: ProblemSpec,
                     x_star_list=()) -> PolicyTable:
     """Rebuild a PolicyTable from file without revalidating invariants
     (verification checks are the place corrupted data should surface)."""
-    names = ("x", "V", "V_x", "V_xx", "c_star", "pi_star", "region")
-    cols = _read_csv(path, names)
+    cols = _read_csv(path, _POLICY_COLUMNS)
     return PolicyTable(
         spec=spec,
         x=np.asarray(cols["x"], dtype=float),

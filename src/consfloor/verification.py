@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import homogeneous_coef
-from .dual_solver import DualGrid
+from .dual_solver import DualGrid, hamiltonian
 from .params import ProblemSpec
 from .policy import PolicyTable
 
@@ -75,20 +75,6 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _g_value(p: float, u, y):
-    """G(u, y) = sup_{c >= max(u, 0)} (c^p/p - c y); tolerant of u <= 0."""
-    u, y = (np.array(a, dtype=float) for a in np.broadcast_arrays(u, y))
-    out = (1.0 - p) / p * y ** (p / (p - 1.0))
-    pos = u > 0.0
-    if np.any(pos):
-        up, yp = u[pos], y[pos]
-        binding = yp > up ** (p - 1.0)
-        vals = out[pos]
-        vals[binding] = up[binding] ** p / p - up[binding] * yp[binding]
-        out[pos] = vals
-    return out
-
-
 def check_hjb_residual(spec: ProblemSpec, table: PolicyTable, tol: float = 1e-6) -> CheckResult:
     """|beta V + m V_x^2/V_xx - G(kx+l, V_x) - r x V_x| <= tol (1 + |beta V|).
 
@@ -99,10 +85,17 @@ def check_hjb_residual(spec: ProblemSpec, table: PolicyTable, tol: float = 1e-6)
     """
     x, V, V_x, V_xx = table.x, table.V, table.V_x, table.V_xx
     sl = slice(1, -1)
+    # G(u, y) needs y = V_x > 0; a table that breaks this (say, a corrupted
+    # file) fails the check instead of raising
+    off_domain = ~(V_x[sl] > 0.0)
+    if off_domain.any():
+        j = int(np.argmax(off_domain))
+        return CheckResult("hjb_residual", False, float(V_x[sl][j]), float(x[sl][j]),
+                           note=f"V_x <= 0, outside the Hamiltonian's domain; tol={tol:g}")
     m = spec.half_sharpe_sq
     floor = spec.k * x[sl] + spec.l
     res = (spec.beta * V[sl] + m * V_x[sl] ** 2 / V_xx[sl]
-           - _g_value(spec.p, floor, V_x[sl]) - spec.r * x[sl] * V_x[sl])
+           - hamiltonian(spec, floor, V_x[sl])[0] - spec.r * x[sl] * V_x[sl])
     scaled = np.abs(res) / (1.0 + np.abs(spec.beta * V[sl]))
     i = int(np.argmax(scaled))
     worst = float(scaled[i])
@@ -142,10 +135,10 @@ def check_sandwich(spec: ProblemSpec, table: PolicyTable, tol: float = 1e-9,
                             f"global worst={worst_global:.3g} (tol={tol_global:g})")
 
 
-def check_vx_bound(spec: ProblemSpec, table: PolicyTable, tol: float = 1e-5) -> CheckResult:
+def check_vx_bound(spec: ProblemSpec, table: PolicyTable) -> CheckResult:
     """V_x <= max(kappa,k)^p x^p / (kappa (x - x_e)), plus blow-up proxy.
 
-    The default tolerance is relative: the true slack of the bound
+    The tolerance, 1e-5, is relative: the true slack of the bound
     vanishes like p x_e / x for large wealth, so at the far end of a
     wide table the inequality can only be certified up to the accuracy
     of the node abscissae.
@@ -159,6 +152,7 @@ def check_vx_bound(spec: ProblemSpec, table: PolicyTable, tol: float = 1e-5) -> 
     mx = max(spec.kappa, spec.k)
     bound = mx**spec.p * x**spec.p / (spec.kappa * (x - spec.x_e))
     rel_viol = (V_x - bound) / bound
+    tol = 1e-5
     i = int(np.argmax(rel_viol))
     worst = float(rel_viol[i])
     passed = worst <= tol
@@ -223,13 +217,12 @@ def _fd_first(x: np.ndarray, f: np.ndarray) -> np.ndarray:
         hm * hp * (hm + hp))
 
 
-def check_gradient_consistency(table: PolicyTable, rel_tol: float = 1e-4,
-                               safety: float = 8.0) -> CheckResult:
+def check_gradient_consistency(table: PolicyTable, rel_tol: float = 1e-4) -> CheckResult:
     """Centered differences of V and V_x agree with the stored V_x and V_xx.
 
     The tolerance at each node is the larger of rel_tol relative and a
     truncation estimate h- h+ |f'''| / 6 (third derivatives estimated by
-    differencing the next stored column), inflated by a safety factor.
+    differencing the next stored column), inflated by a safety factor of 8.
     Nodes whose spacing is below 1e-7 of the local wealth are skipped
     (in the sliver where x - x_e underruns float resolution no finite
     difference in x is meaningful), as are the two nodes adjacent to
@@ -250,7 +243,7 @@ def check_gradient_consistency(table: PolicyTable, rel_tol: float = 1e-4,
 
     def column_ratio(f, df, d3_est):
         fd = _fd_first(x, f)
-        tol = np.maximum(rel_tol * np.abs(df[1:-1]), safety * hh / 6.0 * np.abs(d3_est))
+        tol = np.maximum(rel_tol * np.abs(df[1:-1]), 8.0 * hh / 6.0 * np.abs(d3_est))
         ratio = np.abs(fd - df[1:-1]) / tol
         return np.where(resolvable, ratio, 0.0)
 
@@ -311,11 +304,10 @@ def check_inverse_identity(grid: DualGrid, table: PolicyTable,
                        note=f"tol={tol:g}")
 
 
-def run_all(spec: ProblemSpec, grid: DualGrid, table: PolicyTable,
-            hjb_tol: float = 1e-6) -> VerificationReport:
+def run_all(spec: ProblemSpec, grid: DualGrid, table: PolicyTable) -> VerificationReport:
     """Run every applicable check and bundle the results."""
     checks = [
-        check_hjb_residual(spec, table, tol=hjb_tol),
+        check_hjb_residual(spec, table),
         check_sandwich(spec, table),
         check_vx_bound(spec, table),
         check_region_theorems(spec, table),

@@ -77,10 +77,18 @@ def test_hamiltonian_slack_region_derivative(spec_si):
 
 
 def test_hamiltonian_domain_errors(spec_si):
-    with pytest.raises(DomainError):
-        hamiltonian(spec_si, 0.0, 1.0)
+    # a floor u <= 0 never binds: the slack value, with G_u = 0
+    p = spec_si.p
+    for u in (0.0, -1.0):
+        for y in (0.5, 2.0):
+            G, G_u, G_y = hamiltonian(spec_si, u, y)
+            assert G == (1.0 - p) / p * y ** (p / (p - 1.0))
+            assert G_u == 0.0
+            assert G_y == -(y ** (1.0 / (p - 1.0)))
     with pytest.raises(DomainError):
         hamiltonian(spec_si, 1.0, -2.0)
+    with pytest.raises(DomainError):
+        hamiltonian(spec_si, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- config
@@ -147,10 +155,10 @@ def test_solve_dual_takes_every_case(case):
         np.testing.assert_allclose(table.V, homogeneous_value(spec, table.x), rtol=1e-12)
 
 
-def test_no_convergence_surfaces(spec_nh):
-    cfg = default_config(spec_nh, max_iter=1, newton_tol=1e-14)
-    with pytest.raises(NoConvergence):
-        solve_dual(spec_nh, cfg)
+def test_no_convergence_surfaces(spec_nh, monkeypatch):
+    monkeypatch.setattr(dual_solver, "_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="after 1 iterations"):
+        solve_dual(spec_nh, default_config(spec_nh))
 
 
 # ---------------------------------------------------------------- oracle equivalence
@@ -393,7 +401,7 @@ def test_nan_iterate_raises_instead_of_propagating(spec_nh):
     w0 = form.base_w(np.exp(t)) + 1.0
     w0[100] = np.nan
     with pytest.raises(NoConvergence, match="not finite"):
-        dual_solver._newton(form, cfg, float(t[1] - t[0]), np.exp(t), w0, w0[0], 0.0)
+        dual_solver._newton(form, float(t[1] - t[0]), np.exp(t), w0, w0[0], 0.0)
 
 
 # ---------------------------------------------------------------- PCHIP coefficients

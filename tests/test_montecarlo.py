@@ -170,13 +170,6 @@ def test_numerical_blowup_detected(spec_merton):
         simulate(spec_merton, reckless, cfg)
 
 
-def test_clamp_disabled_raises_on_floor_crossing(spec_nh):
-    cfg = SimConfig(x0=spec_nh.x_e + 0.01, dt=1 / 50, horizon=10.0,
-                    n_paths=64, seed=4, clamp_at_floor=False)
-    with pytest.raises(NumericalBlowup):
-        simulate(spec_nh, merton_feedback(spec_nh), cfg)
-
-
 def test_clamp_counts_and_absorbs(spec_nh):
     cfg = SimConfig(x0=spec_nh.x_e + 0.01, dt=1 / 50, horizon=10.0,
                     n_paths=64, seed=4)

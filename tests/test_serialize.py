@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from consfloor import DualGrid, PolicyTable
 from consfloor.serialize import (
     json_dumps,
     read_dual_csv,
@@ -73,3 +74,44 @@ def test_csv_header_is_validated(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ConfigError):
         read_dual_csv(path)
+
+
+# float columns that stress the '%.16e' text: signed zero, the smallest
+# subnormal, the largest finite float and 17-significant-digit values
+_PINNED = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+           0.1, 1.0 / 3.0, math.pi, 2.2250738585072014e-308, 123456789.01234567,
+           -9.8765432109876543e-300, 0.0, 1.0]
+
+
+def _pinned_columns(n_cols):
+    # each column is a rotation of _PINNED, so every value meets every column
+    return [np.roll(np.array(_PINNED), j) for j in range(n_cols)]
+
+
+def _reference_csv(header, cols, labels=None):
+    # the per-element text of the original writers
+    lines = [header]
+    for i, row in enumerate(zip(*cols)):
+        line = ",".join(f"{v:.16e}" for v in row)
+        lines.append(line if labels is None else line + "," + str(labels[i]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_dual_csv_bytes_are_pinned(tmp_path):
+    y, v, v_y, v_yy = _pinned_columns(4)
+    grid = DualGrid(y=y, v=v, v_y=v_y, v_yy=v_yy, residual_inf=0.0)
+    data = write_dual_csv(tmp_path / "dual.csv", grid)
+    assert data == _reference_csv("y,v,v_y,v_yy", (y, v, v_y, v_yy))
+    assert (tmp_path / "dual.csv").read_bytes() == data
+    cols = read_dual_csv(tmp_path / "dual.csv")
+    for name, ref in zip(("y", "v", "v_y", "v_yy"), (y, v, v_y, v_yy)):
+        assert np.array_equal(cols[name].view(np.uint64), ref.view(np.uint64))
+
+
+def test_policy_csv_bytes_are_pinned(tmp_path, spec_nh):
+    cols = _pinned_columns(6)
+    region = np.array(["C", "U"] * (len(_PINNED) // 2))
+    table = PolicyTable(spec_nh, *cols, region=region)
+    data = write_policy_csv(tmp_path / "policy.csv", table)
+    assert data == _reference_csv("x,V,V_x,V_xx,c_star,pi_star,region", cols, region)
+    assert (tmp_path / "policy.csv").read_bytes() == data

@@ -95,6 +95,18 @@ def test_hjb_residual_negative_control(spec_nh, nh_table):
     assert result.location == pytest.approx(nh_table.x[j])
 
 
+def test_hjb_residual_fails_on_nonpositive_marginal_value(spec_nh, nh_table):
+    # V_x <= 0 lies outside the Hamiltonian's domain: the check fails with
+    # a finite worst value that a JSON report can carry, and does not raise
+    V_x = nh_table.V_x.copy()
+    j = len(V_x) // 2
+    V_x[j] = -V_x[j]
+    result = check_hjb_residual(spec_nh, _retable(nh_table, V_x=V_x))
+    assert not result.passed
+    assert result.worst == V_x[j]
+    assert result.location == nh_table.x[j]
+
+
 def test_gradient_negative_control(spec_nh, nh_table):
     bad = _retable(nh_table, V_x=np.zeros_like(nh_table.V_x))
     assert not check_gradient_consistency(bad).passed
