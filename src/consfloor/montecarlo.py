@@ -9,16 +9,20 @@ left endpoint of each step and the discount factor integrated exactly
 within the step, so a constant-consumption path reproduces its value to
 machine precision.
 
-Randomness is counter-based: step i draws its normals from a Philox
-block keyed by the master seed with counter i << 128, and path j always
-reads lane j of the block.  Any (step, path) variate can therefore be
-regenerated independently of execution order, and a run is bit-for-bit
-reproducible from (spec, config, seed).  Normals are generated in
-float32 (granularity ~6e-8 of a unit draw, orders of magnitude below
-both the Euler bias and the statistical error); against float64 that
-saves only 3-15% of generator time (Philox, 100k draws per step, 2-core
-x86-64 VM).  All state arithmetic stays float64.  The estimate is the numpy
-pairwise mean over paths, a fixed reduction order.
+Randomness is counter-based and antithetic.  With n paths, step i fills
+n/2 normals from a Philox block keyed by the master seed with counter
+i << 128; path j < n/2 reads lane j and path j + n/2 reads the negation
+of lane j.  Any (step, path) variate can therefore be regenerated
+independently of execution order, and a run is bit-for-bit reproducible
+from (spec, config, seed).  Normals are generated in float32
+(granularity ~6e-8 of a unit draw, orders of magnitude below both the
+Euler bias and the statistical error); against float64 that saves only
+3-15% of generator time (Philox, 100k draws per step, 2-core x86-64 VM).
+All state arithmetic stays float64.  The estimate is the numpy pairwise
+mean over all n paths, a fixed reduction order.  The two paths of a pair
+are negatively correlated, so the standard error is taken over the n/2
+pair means, (acc_j + acc_{j+n/2}) / 2; a per-path standard error would
+ignore that correlation and overstate the error.
 
 When a discretization step lands below the sustainable floor x_e, the
 path is clamped to x_e and switched permanently to the floor policy
@@ -58,7 +62,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls; seed fixes the full random stream."""
+    """Simulation controls; seed fixes the full random stream.
+
+    n_paths must be even: paths j and j + n_paths/2 form an antithetic
+    pair, and the standard error needs at least two pairs.
+    """
 
     x0: float
     dt: float = 1.0 / 250.0
@@ -71,8 +79,10 @@ class SimConfig:
             raise ParameterError("dt must be > 0")
         if self.horizon < 100.0 * self.dt:
             raise ParameterError("horizon must cover at least 100 steps")
-        if self.n_paths < 2:
-            raise ParameterError("need at least 2 paths")
+        if self.n_paths < 4 or self.n_paths % 2:
+            raise ParameterError(
+                f"n_paths={self.n_paths}: need an even number of paths, at least 4 "
+                "(antithetic pairs)")
 
 
 @dataclass(frozen=True)
@@ -128,7 +138,9 @@ class AffinePolicy:
         np.multiply(x, self.c1, out=c)
         if self.c0 != 0.0:
             c += self.c0
-        if self.clip_to_floor:
+        # for x >= 0 (all simulated wealth) the clip cannot bind when
+        # c1 >= k and c0 >= l, since rounding is monotone
+        if self.clip_to_floor and (self.c1 < self.k or self.c0 < self.l):
             np.multiply(x, self.k, out=scratch)
             scratch += self.l
             np.maximum(c, scratch, out=c)
@@ -202,7 +214,8 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
     acc = np.zeros(n)
     absorbed = np.zeros(n, dtype=bool)
     any_absorbed = False
-    z = np.empty(n, dtype=np.float32)
+    h = n // 2
+    z = np.empty(h, dtype=np.float32)
     c = np.empty(n)
     pi = np.empty(n)
     util = np.empty(n)
@@ -210,6 +223,9 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
     diff = np.empty(n)
     scratch = np.empty(n)
     below = np.empty(n, dtype=bool)
+    # rows are the two halves of each antithetic pair
+    x_pairs = x.reshape(2, h)
+    diff_pairs = diff.reshape(2, h)
     floor_violations = 0
     max_wealth = float(x0)
     adm_slack = 1e-9
@@ -240,13 +256,13 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
                 j = int(np.argmax(below))
                 raise PolicyInadmissible(
                     f"policy consumption {c[j]} below floor {drift[j]} at x={x[j]}")
+            if l == 0.0:
+                # the admissibility slack can leave c a hair below zero
+                # when the floor itself is zero
+                np.maximum(c, 0.0, out=c)
         if any_absorbed:
             c[absorbed] = c_e
             pi[absorbed] = 0.0
-        if l == 0.0:
-            # the admissibility slack can leave c a hair below zero when
-            # the floor itself is zero
-            np.maximum(c, 0.0, out=c)
 
         if p == 0.5:
             np.sqrt(c, out=util)
@@ -265,23 +281,26 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
             drift += scratch
             drift *= dt
             np.multiply(pi, sig_sq_dt, out=diff)
-            diff *= z
+            diff_pairs *= z
             x += drift
-            x += diff
+            x_pairs[0] += diff_pairs[0]
+            x_pairs[1] -= diff_pairs[1]
 
-        if not math.isfinite(float(np.sum(x))):
+        lo = float(x.min())
+        hi = float(x.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise NumericalBlowup(f"non-finite state at step {i}")
-        np.less(x, x_e, out=below)
-        if below.any():
+        if lo < x_e:
+            np.less(x, x_e, out=below)
             x[below] = x_e
             if any_absorbed:
                 below &= ~absorbed
             floor_violations += int(np.count_nonzero(below))
             absorbed |= below
             any_absorbed = True
-        m = float(x.max())
-        if m > max_wealth:
-            max_wealth = m
+        # clamping lifts wealth only to x_e <= max_wealth
+        if hi > max_wealth:
+            max_wealth = hi
 
     estimate = float(np.mean(acc))
     if np.all(acc == acc[0]):
@@ -290,7 +309,8 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
         estimate = float(acc[0])
         std_error = 0.0
     else:
-        std_error = float(np.std(acc, ddof=1) / math.sqrt(n))
+        pair_means = 0.5 * (acc[:h] + acc[h:])
+        std_error = float(np.std(pair_means, ddof=1) / math.sqrt(h))
     tail_bound = math.exp(-beta * horizon) * homogeneous_coef(spec) * max_wealth**p
     return SimReport(estimate=estimate, std_error=std_error, tail_bound=tail_bound,
                      floor_violations=floor_violations, n_paths=n, n_steps=n_steps,

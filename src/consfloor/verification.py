@@ -53,7 +53,9 @@ class CheckResult:
     note: str = ""
 
     def to_obj(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "worst": self.worst,
+        # JSON has no inf or NaN; a check that could not measure writes null
+        worst = self.worst if math.isfinite(self.worst) else None
+        return {"name": self.name, "pass": self.passed, "worst": worst,
                 "location": self.location, "note": self.note}
 
 

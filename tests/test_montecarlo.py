@@ -36,6 +36,8 @@ def test_sim_config_validation():
         SimConfig(x0=1.0, dt=0.1, horizon=5.0)   # fewer than 100 steps
     with pytest.raises(ParameterError):
         SimConfig(x0=1.0, n_paths=1)
+    with pytest.raises(ParameterError, match="even"):
+        SimConfig(x0=1.0, n_paths=2001)      # antithetic pairs need even n
 
 
 def test_degenerate_marginal_wealth_is_exact(spec_nh):
@@ -60,6 +62,37 @@ def test_seed_changes_estimate(spec_merton):
     a = simulate(spec_merton, merton_feedback(spec_merton), cfg1)
     b = simulate(spec_merton, merton_feedback(spec_merton), cfg2)
     assert a.estimate != b.estimate
+
+
+def test_std_error_is_calibrated(spec_merton):
+    """The reported SE matches the spread of estimates across seeds.
+
+    A per-path SE ignores the negative correlation within each
+    antithetic pair and overstates the spread (about 2.8x here)."""
+    reports = [simulate(spec_merton, merton_feedback(spec_merton),
+                        SimConfig(x0=1.0, dt=1 / 50, horizon=5.0, n_paths=2000, seed=s))
+               for s in range(40)]
+    spread = np.std([r.estimate for r in reports], ddof=1)
+    rms_se = math.sqrt(np.mean([r.std_error**2 for r in reports]))
+    assert 0.7 <= spread / rms_se <= 1.4, (spread, rms_se)
+
+
+@pytest.mark.parametrize("params, x0", [
+    ({}, 1.0),
+    (dict(k=0.02, l=1.0), 101.0),
+    (dict(beta=0.06, k=0.02, l=1.0), 101.0),
+], ids=["merton", "clamped", "clip-binds"])
+def test_affine_step_matches_callable_policy(params, x0):
+    """The affine fast path (eval_into) gives the report of the same
+    policy queried as a plain callable, bit for bit.  From x0=101 on the
+    k=0.02, l=1 floor almost every path is clamped to x_e; at beta=0.06
+    (kappa=0.0275) the floor clip binds below x=133."""
+    spec = make_spec(**dict(BASE, **params))
+    pol = merton_feedback(spec)
+    cfg = SimConfig(x0=x0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=7)
+    report = simulate(spec, pol, cfg)
+    assert report == simulate(spec, lambda x: pol(x), cfg)
+    assert (report.floor_violations > 1900) == (spec.l > 0.0)
 
 
 def test_merton_attainment_small_scale(spec_merton):
@@ -124,9 +157,9 @@ def test_table_policy_report_is_reproduced(spec_nh, nh_table):
     report = simulate(spec_nh, table_feedback(nh_table), cfg)
     assert report == simulate(spec_nh, lambda x: pchip_policy(nh_table, x)[1:], cfg)
     recorded = SimReport(
-        estimate=37.22823243509357, std_error=0.32661203044512954,
-        tail_bound=244.19679657886246, floor_violations=0, n_paths=2000, n_steps=500,
-        dt=0.02, horizon=10.0, seed=2026, max_wealth=11841.790179497206)
+        estimate=37.29463649169102, std_error=0.19694254305303094,
+        tail_bound=262.82973275222236, floor_violations=0, n_paths=2000, n_steps=500,
+        dt=0.02, horizon=10.0, seed=2026, max_wealth=13717.861812164527)
     assert report.to_obj() == pytest.approx(recorded.to_obj(), rel=1e-9, abs=0)
 
 

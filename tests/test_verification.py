@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from consfloor import (
     solve_dual,
 )
 from consfloor.dual_solver import default_config
+from consfloor.serialize import json_dumps
 from consfloor.verification import (
     check_gradient_consistency,
     check_hjb_residual,
@@ -17,6 +20,7 @@ from consfloor.verification import (
     check_region_theorems,
     check_sandwich,
     check_vx_bound,
+    VerificationReport,
     region_bracket,
 )
 
@@ -110,6 +114,17 @@ def test_hjb_residual_fails_on_nonpositive_marginal_value(spec_nh, nh_table):
 def test_gradient_negative_control(spec_nh, nh_table):
     bad = _retable(nh_table, V_x=np.zeros_like(nh_table.V_x))
     assert not check_gradient_consistency(bad).passed
+
+
+def test_gradient_check_without_resolvable_nodes_reports_null(nh_table):
+    # every node of a 5-node table is skipped as adjacent to an end
+    idx = np.linspace(0, len(nh_table.x) - 1, 5).astype(int)
+    cut = _retable(nh_table, **{name: getattr(nh_table, name)[idx] for name in
+                                ("x", "V", "V_x", "V_xx", "c_star", "pi_star", "region")})
+    result = check_gradient_consistency(cut)
+    assert not result.passed
+    text = json_dumps(VerificationReport((result,)).to_obj())
+    assert json.loads(text)["checks"][0]["worst"] is None
 
 
 def test_sandwich_negative_control(spec_nh, nh_table):
