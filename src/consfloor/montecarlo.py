@@ -1,13 +1,28 @@
 """Monte-Carlo check that a feedback policy attains its claimed value.
 
-Euler-Maruyama on the controlled wealth SDE
+Two stepping schemes, chosen from the policy and spec alone:
 
-    dX = (r X - c + mu pi) dt + sigma pi dW,
+* Exact log-normal steps for an affine policy c = c1 x, pi = pi1 x
+  (c1 > 0, c1 >= k, no binding floor clip) on a spec with l = 0, from
+  x0 > 0.  There x_e = 0 is never reached and wealth is a geometric
+  Brownian motion, dX = X (a dt + b dW) with a = r - c1 + mu pi1 and
+  b = sigma pi1, so ln X advances by (a - b^2/2) dt + b sqrt(dt) Z
+  without time-stepping bias (Glasserman 2003, sec. 3.2).  This covers
+  the Merton policy, the optimal policy max(kappa, k) x of the
+  proportional floor, and its floor policy k x.
+* Euler-Maruyama on the controlled wealth SDE
 
-accumulating discounted utility with the consumption rate frozen at the
-left endpoint of each step and the discount factor integrated exactly
-within the step, so a constant-consumption path reproduces its value to
-machine precision.
+      dX = (r X - c + mu pi) dt + sigma pi dW
+
+  for everything else: the solved table, plain callables, affine
+  policies whose floor clip binds or with l > 0, and the start x0 = 0.
+
+Both accumulate discounted utility with the consumption rate frozen at
+the left endpoint of each step and the discount factor integrated
+exactly within the step, so a constant-consumption path reproduces its
+value to machine precision.  That left-point rule is the only bias of
+the exact scheme, first order in dt; the Euler scheme adds its own
+first-order bias in the wealth step.
 
 Randomness is counter-based and antithetic.  With n paths, step i fills
 n/2 normals from a Philox block keyed by the master seed with counter
@@ -16,23 +31,26 @@ of lane j.  Any (step, path) variate can therefore be regenerated
 independently of execution order, and a run is bit-for-bit reproducible
 from (spec, config, seed).  Normals are generated in float32
 (granularity ~6e-8 of a unit draw, orders of magnitude below both the
-Euler bias and the statistical error); against float64 that saves only
-3-15% of generator time (Philox, 100k draws per step, 2-core x86-64 VM).
-All state arithmetic stays float64.  The estimate is the numpy pairwise
-mean over all n paths, a fixed reduction order.  The two paths of a pair
-are negatively correlated, so the standard error is taken over the n/2
-pair means, (acc_j + acc_{j+n/2}) / 2; a per-path standard error would
-ignore that correlation and overstate the error.
+time-stepping bias and the statistical error); against float64 that
+saves only 3-15% of generator time (Philox, 100k draws per step, 2-core
+x86-64 VM).  All state arithmetic stays float64.  The estimate is the
+numpy pairwise mean over all n paths, a fixed reduction order.  The two
+paths of a pair are negatively correlated, so the standard error is
+taken over the n/2 pair means, (acc_j + acc_{j+n/2}) / 2; a per-path
+standard error would ignore that correlation and overstate the error.
 
-When a discretization step lands below the sustainable floor x_e, the
-path is clamped to x_e and switched permanently to the floor policy
-(c_e, 0), the exact continuation there; the event count diagnoses dt
-adequacy.
+When an Euler step lands below the sustainable floor x_e, the path is
+clamped to x_e and switched permanently to the floor policy (c_e, 0),
+the exact continuation there; the event count diagnoses dt adequacy.
+A state beyond the float64 range raises NumericalBlowup in either
+scheme.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -65,7 +83,8 @@ class SimConfig:
     """Simulation controls; seed fixes the full random stream.
 
     n_paths must be even: paths j and j + n_paths/2 form an antithetic
-    pair, and the standard error needs at least two pairs.
+    pair, and the standard error needs at least two pairs.  seed is a
+    non-negative integer.
     """
 
     x0: float
@@ -77,12 +96,17 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ParameterError("dt must be > 0")
+        if not math.isfinite(self.horizon):
+            raise ParameterError(f"horizon={self.horizon} must be finite")
         if self.horizon < 100.0 * self.dt:
             raise ParameterError("horizon must cover at least 100 steps")
-        if self.n_paths < 4 or self.n_paths % 2:
+        if (not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 4
+                or self.n_paths % 2):
             raise ParameterError(
-                f"n_paths={self.n_paths}: need an even number of paths, at least 4 "
-                "(antithetic pairs)")
+                f"n_paths={self.n_paths!r}: need an even integer number of paths, "
+                "at least 4 (antithetic pairs)")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ParameterError(f"seed={self.seed!r} must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -134,13 +158,17 @@ class AffinePolicy:
             c = np.maximum(c, self.k * x + self.l)
         return c, self.pi1 * x
 
+    @property
+    def clips(self) -> bool:
+        """Whether the floor clip can bind on x >= 0: with c1 >= k and
+        c0 >= l it cannot, since rounding is monotone."""
+        return self.clip_to_floor and (self.c1 < self.k or self.c0 < self.l)
+
     def eval_into(self, x, c, pi, scratch):
         np.multiply(x, self.c1, out=c)
         if self.c0 != 0.0:
             c += self.c0
-        # for x >= 0 (all simulated wealth) the clip cannot bind when
-        # c1 >= k and c0 >= l, since rounding is monotone
-        if self.clip_to_floor and (self.c1 < self.k or self.c0 < self.l):
+        if self.clips:
             np.multiply(x, self.k, out=scratch)
             scratch += self.l
             np.maximum(c, scratch, out=c)
@@ -179,9 +207,19 @@ def table_feedback(table: PolicyTable):
     return policy
 
 
+# largest ln x whose x is a finite float64
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _philox_key(seed: int) -> int:
     state = np.random.SeedSequence(seed).generate_state(4, np.uint32)
     return int.from_bytes(state.tobytes(), "little")
+
+
+def _fill_normals(key: int, i: int, z: np.ndarray):
+    """Step i's antithetic half: Philox keyed by the seed, counter i << 128."""
+    g = np.random.Generator(np.random.Philox(key=key, counter=i << 128))
+    g.standard_normal(dtype=np.float32, out=z)
 
 
 def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
@@ -189,7 +227,8 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
 
     policy maps a wealth vector to a (consumption, risky holding) pair
     and must be admissible (c >= k x + l) on the reachable range.
-    Deterministic given (spec, cfg): reruns are bit-identical.
+    Deterministic given (spec, cfg): reruns are bit-identical.  The
+    stepping scheme follows from the policy and spec (module docstring).
     """
     if spec.kappa <= 0.0:
         raise KappaNonPositive("simulation tail bound requires kappa > 0")
@@ -198,17 +237,82 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
     # path stays on the floor instead of clamping at the first step
     x0 = spec.x_e if verdict.marginal else cfg.x0
 
-    r, mu, sigma, beta, p = spec.r, spec.mu, spec.sigma, spec.beta, spec.p
-    k, l, x_e, c_e = spec.k, spec.l, spec.x_e, spec.c_e
     dt = cfg.dt
     n_steps = int(round(cfg.horizon / dt))
     horizon = n_steps * dt
     n = cfg.n_paths
     key = _philox_key(cfg.seed)
-    sq_dt = math.sqrt(dt)
-    sig_sq_dt = sigma * sq_dt
     # exact in-step discount integral: int_{t_i}^{t_i+dt} e^{-beta s} ds
-    w_step = -math.expm1(-beta * dt) / beta
+    w_step = -math.expm1(-spec.beta * dt) / spec.beta
+    if (isinstance(policy, AffinePolicy) and not policy.clips and policy.c0 == 0.0
+            and policy.c1 > 0.0 and policy.c1 >= spec.k and spec.l == 0.0 and x0 > 0.0):
+        acc, floor_violations, max_wealth = _lognormal_steps(
+            spec, policy, x0, dt, n_steps, n, key, w_step)
+    else:
+        acc, floor_violations, max_wealth = _euler_steps(
+            spec, policy, x0, dt, n_steps, n, key, w_step)
+
+    estimate = float(np.mean(acc))
+    if np.all(acc == acc[0]):
+        # degenerate deterministic paths: variance is exactly zero (the
+        # pairwise mean can round one ulp off the common value)
+        estimate = float(acc[0])
+        std_error = 0.0
+    else:
+        h = n // 2
+        pair_means = 0.5 * (acc[:h] + acc[h:])
+        std_error = float(np.std(pair_means, ddof=1) / math.sqrt(h))
+    tail_bound = math.exp(-spec.beta * horizon) * homogeneous_coef(spec) * max_wealth**spec.p
+    return SimReport(estimate=estimate, std_error=std_error, tail_bound=tail_bound,
+                     floor_violations=floor_violations, n_paths=n, n_steps=n_steps,
+                     dt=dt, horizon=horizon, seed=cfg.seed, max_wealth=max_wealth)
+
+
+def _lognormal_steps(spec, policy, x0, dt, n_steps, n, key, w_step):
+    """Exact steps of the wealth GBM under c = c1 x, pi = pi1 x.
+
+    Each path carries q = p ln x_i - beta t_i + ln(w_step c1^p / p), the
+    log of its utility increment at step i, so the increment is exp(q)
+    and a step shifts q by p (a - b^2/2) dt - beta dt plus or minus
+    p b sqrt(dt) z.  One max per step bounds ln x for max_wealth and the
+    float64 range; NaN fails that comparison too.
+    """
+    p, beta = spec.p, spec.beta
+    a = spec.r - policy.c1 + spec.mu * policy.pi1
+    b = spec.sigma * policy.pi1
+    ln_w0 = math.log(w_step * policy.c1**p / p)
+    shift = (p * (a - 0.5 * b * b) - beta) * dt
+    p_sig_sq_dt = p * b * math.sqrt(dt)
+
+    h = n // 2
+    q = np.full(n, p * math.log(x0) + ln_w0)
+    q_pairs = q.reshape(2, h)
+    acc = np.zeros(n)
+    util = np.empty(n)
+    z = np.empty(h, dtype=np.float32)
+    dq = np.empty(h)
+    ln_max = -math.inf
+    for i in range(n_steps):
+        np.exp(q, out=util)
+        acc += util
+        _fill_normals(key, i, z)
+        np.multiply(z, p_sig_sq_dt, out=dq)
+        q += shift
+        q_pairs[0] += dq
+        q_pairs[1] -= dq
+        ln_hi = (float(q.max()) - ln_w0 + beta * (i + 1) * dt) / p
+        if not ln_hi <= _LOG_MAX:
+            raise NumericalBlowup(f"wealth beyond the float64 range at step {i}")
+        if ln_hi > ln_max:
+            ln_max = ln_hi
+    return acc, 0, max(x0, math.exp(ln_max))
+
+
+def _euler_steps(spec, policy, x0, dt, n_steps, n, key, w_step):
+    """Euler-Maruyama steps with clamping at x_e; see the module docstring."""
+    r, mu, sigma, beta, p = spec.r, spec.mu, spec.sigma, spec.beta, spec.p
+    k, l, x_e, c_e = spec.k, spec.l, spec.x_e, spec.c_e
+    sig_sq_dt = sigma * math.sqrt(dt)
 
     x = np.full(n, float(x0))
     acc = np.zeros(n)
@@ -233,7 +337,9 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
 
     for i in range(n_steps):
         if affine:
-            policy.eval_into(x, c, pi, scratch)
+            # an overflow here is caught by the finiteness check below
+            with np.errstate(invalid="ignore", over="ignore"):
+                policy.eval_into(x, c, pi, scratch)
         else:
             if any_absorbed:
                 # keep absorbed lanes off the policy's domain
@@ -271,8 +377,7 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
         util *= math.exp(-beta * i * dt) * w_step / p
         acc += util
 
-        g = np.random.Generator(np.random.Philox(key=key, counter=i << 128))
-        g.standard_normal(dtype=np.float32, out=z)
+        _fill_normals(key, i, z)
         # non-finite intermediates are detected right below, not warned
         with np.errstate(invalid="ignore", over="ignore"):
             np.multiply(x, r, out=drift)
@@ -301,20 +406,7 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
         # clamping lifts wealth only to x_e <= max_wealth
         if hi > max_wealth:
             max_wealth = hi
-
-    estimate = float(np.mean(acc))
-    if np.all(acc == acc[0]):
-        # degenerate deterministic paths: variance is exactly zero (the
-        # pairwise mean can round one ulp off the common value)
-        estimate = float(acc[0])
-        std_error = 0.0
-    else:
-        pair_means = 0.5 * (acc[:h] + acc[h:])
-        std_error = float(np.std(pair_means, ddof=1) / math.sqrt(h))
-    tail_bound = math.exp(-beta * horizon) * homogeneous_coef(spec) * max_wealth**p
-    return SimReport(estimate=estimate, std_error=std_error, tail_bound=tail_bound,
-                     floor_violations=floor_violations, n_paths=n, n_steps=n_steps,
-                     dt=dt, horizon=horizon, seed=cfg.seed, max_wealth=max_wealth)
+    return acc, floor_violations, max_wealth
 
 
 @dataclass(frozen=True)
@@ -332,8 +424,10 @@ def compare_to_value(report: SimReport, value: float,
                      discretization_allowance: float = 0.0) -> ValueVerdict:
     """Pass iff |estimate - value| <= 3 SE + tail bound + allowance.
 
-    The allowance covers the Euler bias, vanishing as dt -> 0; measure
-    it with a dt-halving run when it matters.
+    The allowance covers the time-stepping bias of either scheme, which
+    vanishes as dt -> 0: the left-point utility rule under exact
+    log-normal steps, plus the wealth-step bias under Euler steps.
+    Measure it with a dt-halving run when it matters.
     """
     tol = 3.0 * report.std_error + report.tail_bound + discretization_allowance
     gap = abs(report.estimate - value)

@@ -161,6 +161,13 @@ def test_simulate_infeasible_wealth_exits_2(capsys, tmp_path):
                  "--dt", "0.01", "--horizon", "5", "--paths", "10"]) == 2
 
 
+def test_simulate_infinite_horizon_exits_2(capsys, tmp_path):
+    cfg = write_config(tmp_path, k=0.0, l=0.0)
+    assert main(["simulate", "--config", str(cfg), "--x0", "1.0",
+                 "--horizon", "inf", "--paths", "10"]) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
 def test_simulate_missing_x0_exits_2(capsys, tmp_path):
     cfg = write_config(tmp_path, k=0.02, l=1.0)
     assert main(["simulate", "--config", str(cfg), "--dt", "0.01",

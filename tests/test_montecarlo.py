@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ def test_sim_config_validation():
         SimConfig(x0=1.0, n_paths=1)
     with pytest.raises(ParameterError, match="even"):
         SimConfig(x0=1.0, n_paths=2001)      # antithetic pairs need even n
+    with pytest.raises(ParameterError, match="n_paths"):
+        SimConfig(x0=1.0, n_paths=4.0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="horizon"):
+            SimConfig(x0=1.0, horizon=horizon)
+    for seed in (-1, 1.5):
+        with pytest.raises(ParameterError, match="seed"):
+            SimConfig(x0=1.0, seed=seed)
 
 
 def test_degenerate_marginal_wealth_is_exact(spec_nh):
@@ -78,13 +87,15 @@ def test_std_error_is_calibrated(spec_merton):
 
 
 @pytest.mark.parametrize("params, x0", [
-    ({}, 1.0),
+    (dict(k=0.2), 1.0),
     (dict(k=0.02, l=1.0), 101.0),
     (dict(beta=0.06, k=0.02, l=1.0), 101.0),
-], ids=["merton", "clamped", "clip-binds"])
+], ids=["proportional-clip", "clamped", "clip-binds"])
 def test_affine_step_matches_callable_policy(params, x0):
-    """The affine fast path (eval_into) gives the report of the same
-    policy queried as a plain callable, bit for bit.  From x0=101 on the
+    """The affine Euler step (eval_into) gives the report of the same
+    policy queried as a plain callable, bit for bit.  On k=0.2, l=0
+    Merton consumption (kappa=0.1075) is clipped to k x at every wealth,
+    which keeps it off the exact log-normal steps.  From x0=101 on the
     k=0.02, l=1 floor almost every path is clamped to x_e; at beta=0.06
     (kappa=0.0275) the floor clip binds below x=133."""
     spec = make_spec(**dict(BASE, **params))
@@ -93,6 +104,58 @@ def test_affine_step_matches_callable_policy(params, x0):
     report = simulate(spec, pol, cfg)
     assert report == simulate(spec, lambda x: pol(x), cfg)
     assert (report.floor_violations > 1900) == (spec.l > 0.0)
+
+
+def test_lognormal_floor_policy_is_exact(spec_homog):
+    """On l = 0 the floor policy c = k x has deterministic wealth
+    x0 e^{(r-k)t}; exact steps reproduce the left-point utility sum."""
+    r, beta, p, k = 0.03, 0.1, 0.5, 0.2
+    dt, n_steps = 1 / 50, 500
+    w = -math.expm1(-beta * dt) / beta
+    exact = math.fsum(math.exp(-beta * i * dt) * w * (k * math.exp((r - k) * i * dt))**p / p
+                      for i in range(n_steps))
+    cfg = SimConfig(x0=1.0, dt=dt, horizon=n_steps * dt, n_paths=8, seed=3)
+    report = simulate(spec_homog, floor_feedback(spec_homog), cfg)
+    assert report.estimate == pytest.approx(exact, rel=1e-12, abs=0)
+    assert report.std_error == 0.0
+    assert report.floor_violations == 0
+
+
+def _lognormal_merton_expectation(x0, dt, n_steps):
+    """E of the left-point utility sum under exact log-normal steps of
+    Merton wealth, from the market parameters: E[X_{i+1}^p] = g E[X_i^p]
+    with g = exp(p a dt + p (p-1) b^2 dt / 2)."""
+    r, mu, sigma, beta, p = BASE["r"], BASE["mu"], BASE["sigma"], BASE["beta"], BASE["p"]
+    fraction = mu / (sigma**2 * (1.0 - p))
+    kappa = (beta - p * (mu**2 / (2.0 * sigma**2 * (1.0 - p)) + r)) / (1.0 - p)
+    a, b = r - kappa + mu * fraction, sigma * fraction
+    g = math.exp(p * a * dt + p * (p - 1.0) * b * b * dt / 2.0)
+    w = -math.expm1(-beta * dt) / beta
+    return math.fsum(math.exp(-beta * i * dt) * w * (kappa * x0)**p / p * g**i
+                     for i in range(n_steps))
+
+
+def test_lognormal_merton_matches_discrete_expectation(spec_merton):
+    """Merton wealth takes exact log-normal steps: no Euler bias is left,
+    so the estimate lies within 4 SE of the left-point expectation, and
+    a 5% offset of it is rejected."""
+    cfg = SimConfig(x0=1.0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=7)
+    report = simulate(spec_merton, merton_feedback(spec_merton), cfg)
+    expected = _lognormal_merton_expectation(1.0, cfg.dt, report.n_steps)
+    assert abs(report.estimate - expected) <= 4.0 * report.std_error, \
+        (report.estimate, expected, report.std_error)
+    assert abs(report.estimate - 1.05 * expected) > 4.0 * report.std_error
+    assert report.floor_violations == 0
+
+
+def test_zero_start_on_homogeneous_spec(spec_merton, spec_homog):
+    """x0 = 0 = x_e is absorbing when l = 0: value 0 with zero variance."""
+    cfg = SimConfig(x0=0.0, dt=1 / 50, horizon=10.0, n_paths=8, seed=1)
+    for spec, pol in ((spec_merton, merton_feedback(spec_merton)),
+                      (spec_homog, homogeneous_feedback(spec_homog))):
+        report = simulate(spec, pol, cfg)
+        assert report.estimate == 0.0
+        assert report.std_error == 0.0
 
 
 def test_merton_attainment_small_scale(spec_merton):
@@ -201,6 +264,19 @@ def test_numerical_blowup_detected(spec_merton):
     cfg = SimConfig(x0=1.0, dt=1 / 50, horizon=10.0, n_paths=8, seed=2)
     with pytest.raises(NumericalBlowup):
         simulate(spec_merton, reckless, cfg)
+
+
+@pytest.mark.parametrize("floor", [{}, dict(k=0.02, l=1.0)],
+                         ids=["lognormal", "euler-affine"])
+def test_overflow_is_typed_without_warnings(floor):
+    """Merton from x0=1e306 leaves the float64 range within 20 years;
+    both schemes raise NumericalBlowup and leak no numpy warning."""
+    spec = make_spec(**dict(BASE, **floor))
+    cfg = SimConfig(x0=1e306, dt=1 / 50, horizon=20.0, n_paths=2000, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBlowup):
+            simulate(spec, merton_feedback(spec), cfg)
 
 
 def test_clamp_counts_and_absorbs(spec_nh):
