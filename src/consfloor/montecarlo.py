@@ -17,6 +17,15 @@ Two stepping schemes, chosen from the policy and spec alone:
   for everything else: the solved table, plain callables, affine
   policies whose floor clip binds or with l > 0, and the start x0 = 0.
 
+The Euler loop evaluates every policy at one call site,
+policy.eval_into(x, c, pi, scratch), which writes consumption and
+holding into the simulator's arrays.  AffinePolicy and the solved
+table's TableFeedback have that method, and both are admissible by
+construction (c = max(., k x + l) for the table).  A plain callable
+x -> (c, pi) is wrapped in an adapter that copies its values and checks
+c >= k x + l at every step.  Absorbed lanes (below) are queried at x0
+and then set to (c_e, 0), so no policy sees wealth x_e.
+
 Both accumulate discounted utility with the consumption rate frozen at
 the left endpoint of each step and the discount factor integrated
 exactly within the step, so a constant-consumption path reproduces its
@@ -29,15 +38,18 @@ n/2 normals from a Philox block keyed by the master seed with counter
 i << 128; path j < n/2 reads lane j and path j + n/2 reads the negation
 of lane j.  Any (step, path) variate can therefore be regenerated
 independently of execution order, and a run is bit-for-bit reproducible
-from (spec, config, seed).  Normals are generated in float32
-(granularity ~6e-8 of a unit draw, orders of magnitude below both the
-time-stepping bias and the statistical error); against float64 that
-saves only 3-15% of generator time (Philox, 100k draws per step, 2-core
-x86-64 VM).  All state arithmetic stays float64.  The estimate is the
-numpy pairwise mean over all n paths, a fixed reduction order.  The two
-paths of a pair are negatively correlated, so the standard error is
-taken over the n/2 pair means, (acc_j + acc_{j+n/2}) / 2; a per-path
-standard error would ignore that correlation and overstate the error.
+from (spec, config, seed).  One generator serves a whole run: before
+each step its state is reset to the step's counter, which gives the
+normals of a generator built for that step at a fraction of the cost.
+Normals are generated in float32 (granularity ~6e-8 of a unit draw,
+orders of magnitude below both the time-stepping bias and the
+statistical error); against float64 that saves only 3-15% of generator
+time (Philox, 100k draws per step, 2-core x86-64 VM).  All state
+arithmetic stays float64.  The estimate is the numpy pairwise mean over
+all n paths, a fixed reduction order.  The two paths of a pair are
+negatively correlated, so the standard error is taken over the n/2 pair
+means, (acc_j + acc_{j+n/2}) / 2; a per-path standard error would
+ignore that correlation and overstate the error.
 
 When an Euler step lands below the sustainable floor x_e, the path is
 clamped to x_e and switched permanently to the floor policy (c_e, 0),
@@ -63,7 +75,7 @@ from .errors import (
     PolicyInadmissible,
 )
 from .params import ProblemSpec, check_initial_wealth
-from .policy import PolicyTable, policy_at
+from .policy import PolicyTable, TableFeedback
 
 __all__ = [
     "SimConfig",
@@ -78,10 +90,17 @@ __all__ = [
 ]
 
 
+# most Euler or log-normal steps one simulation may take: 133 times the
+# 75 000 steps of a 300-year run at dt = 1/250, and far inside the one
+# 64-bit word of the Philox counter that holds the step index
+MAX_STEPS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls; seed fixes the full random stream.
 
+    horizon / dt rounds to the step count, between 100 and MAX_STEPS.
     n_paths must be even: paths j and j + n_paths/2 form an antithetic
     pair, and the standard error needs at least two pairs.  seed is a
     non-negative integer.
@@ -98,6 +117,10 @@ class SimConfig:
             raise ParameterError("dt must be > 0")
         if not math.isfinite(self.horizon):
             raise ParameterError(f"horizon={self.horizon} must be finite")
+        if not self.horizon / self.dt <= MAX_STEPS:
+            raise ParameterError(
+                f"horizon={self.horizon!r} at dt={self.dt!r} takes "
+                f"{self.horizon / self.dt:.3g} steps; at most {MAX_STEPS} are allowed")
         if self.horizon < 100.0 * self.dt:
             raise ParameterError("horizon must cover at least 100 steps")
         if (not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 4
@@ -107,6 +130,10 @@ class SimConfig:
                 "at least 4 (antithetic pairs)")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ParameterError(f"seed={self.seed!r} must be a non-negative integer")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass(frozen=True)
@@ -198,13 +225,46 @@ def homogeneous_feedback(spec: ProblemSpec) -> AffinePolicy:
                         pi1=spec.merton_fraction, k=spec.k, l=spec.l)
 
 
-def table_feedback(table: PolicyTable):
-    """Feedback from a solved policy table; refuses out-of-range wealth."""
+def table_feedback(table: PolicyTable) -> TableFeedback:
+    """Feedback from a solved policy table; refuses out-of-range wealth.
 
-    def policy(x):
-        return policy_at(table, x)
+    The result is callable, policy(x) = policy_at(table, x), and the
+    simulator evaluates it through its eval_into.
+    """
+    return TableFeedback(table)
 
-    return policy
+
+# relative and absolute slack of the floor check on a plain callable's
+# consumption, c >= (k x + l) (1 - slack) - slack
+_ADM_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class _CheckedPolicy:
+    """A plain feedback callable on the eval_into protocol.
+
+    The callable's (c, pi) are copied into the simulator's arrays and c
+    is checked against the floor; with l = 0 the check's slack can leave
+    c a hair below zero, so c is raised to 0 there.
+    """
+
+    policy: object
+    k: float
+    l: float
+
+    def eval_into(self, x, c, pi, scratch):
+        c_out, pi_out = self.policy(x)
+        np.copyto(c, c_out)
+        np.copyto(pi, pi_out)
+        floor = np.multiply(x, self.k, out=scratch)
+        floor += self.l
+        below = c < floor * (1.0 - _ADM_SLACK) - _ADM_SLACK
+        if below.any():
+            j = int(np.argmax(below))
+            raise PolicyInadmissible(
+                f"policy consumption {c[j]} below floor {floor[j]} at x={x[j]}")
+        if self.l == 0.0:
+            np.maximum(c, 0.0, out=c)
 
 
 # largest ln x whose x is a finite float64
@@ -216,10 +276,25 @@ def _philox_key(seed: int) -> int:
     return int.from_bytes(state.tobytes(), "little")
 
 
-def _fill_normals(key: int, i: int, z: np.ndarray):
-    """Step i's antithetic half: Philox keyed by the seed, counter i << 128."""
-    g = np.random.Generator(np.random.Philox(key=key, counter=i << 128))
-    g.standard_normal(dtype=np.float32, out=z)
+class _Normals:
+    """Step i's antithetic half: Philox keyed by the seed, counter i << 128.
+
+    One generator serves every step; fill resets its state to the step's
+    counter, which gives the normals of a fresh Philox(key=key,
+    counter=i << 128) without building one (and seeding it from the OS)
+    per step.  The step index fills counter word 2, so it must stay
+    below 2**64.
+    """
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(key=_philox_key(seed))
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state  # counter 0, nothing buffered
+
+    def fill(self, i: int, z: np.ndarray):
+        self._state["state"]["counter"][2] = i
+        self._bitgen.state = self._state
+        self._gen.standard_normal(dtype=np.float32, out=z)
 
 
 def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
@@ -238,19 +313,19 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
     x0 = spec.x_e if verdict.marginal else cfg.x0
 
     dt = cfg.dt
-    n_steps = int(round(cfg.horizon / dt))
+    n_steps = cfg.n_steps
     horizon = n_steps * dt
     n = cfg.n_paths
-    key = _philox_key(cfg.seed)
+    normals = _Normals(cfg.seed)
     # exact in-step discount integral: int_{t_i}^{t_i+dt} e^{-beta s} ds
     w_step = -math.expm1(-spec.beta * dt) / spec.beta
     if (isinstance(policy, AffinePolicy) and not policy.clips and policy.c0 == 0.0
             and policy.c1 > 0.0 and policy.c1 >= spec.k and spec.l == 0.0 and x0 > 0.0):
         acc, floor_violations, max_wealth = _lognormal_steps(
-            spec, policy, x0, dt, n_steps, n, key, w_step)
+            spec, policy, x0, dt, n_steps, n, normals, w_step)
     else:
         acc, floor_violations, max_wealth = _euler_steps(
-            spec, policy, x0, dt, n_steps, n, key, w_step)
+            spec, policy, x0, dt, n_steps, n, normals, w_step)
 
     estimate = float(np.mean(acc))
     if np.all(acc == acc[0]):
@@ -268,7 +343,7 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
                      dt=dt, horizon=horizon, seed=cfg.seed, max_wealth=max_wealth)
 
 
-def _lognormal_steps(spec, policy, x0, dt, n_steps, n, key, w_step):
+def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     """Exact steps of the wealth GBM under c = c1 x, pi = pi1 x.
 
     Each path carries q = p ln x_i - beta t_i + ln(w_step c1^p / p), the
@@ -295,7 +370,7 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, key, w_step):
     for i in range(n_steps):
         np.exp(q, out=util)
         acc += util
-        _fill_normals(key, i, z)
+        normals.fill(i, z)
         np.multiply(z, p_sig_sq_dt, out=dq)
         q += shift
         q_pairs[0] += dq
@@ -308,16 +383,18 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, key, w_step):
     return acc, 0, max(x0, math.exp(ln_max))
 
 
-def _euler_steps(spec, policy, x0, dt, n_steps, n, key, w_step):
+def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     """Euler-Maruyama steps with clamping at x_e; see the module docstring."""
     r, mu, sigma, beta, p = spec.r, spec.mu, spec.sigma, spec.beta, spec.p
-    k, l, x_e, c_e = spec.k, spec.l, spec.x_e, spec.c_e
+    x_e, c_e = spec.x_e, spec.c_e
     sig_sq_dt = sigma * math.sqrt(dt)
+    if not hasattr(policy, "eval_into"):
+        policy = _CheckedPolicy(policy, spec.k, spec.l)
 
     x = np.full(n, float(x0))
+    query = np.empty(n)
     acc = np.zeros(n)
-    absorbed = np.zeros(n, dtype=bool)
-    any_absorbed = False
+    absorbed = np.empty(0, dtype=np.intp)
     h = n // 2
     z = np.empty(h, dtype=np.float32)
     c = np.empty(n)
@@ -332,54 +409,29 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, key, w_step):
     diff_pairs = diff.reshape(2, h)
     floor_violations = 0
     max_wealth = float(x0)
-    adm_slack = 1e-9
-    affine = isinstance(policy, AffinePolicy)
 
-    for i in range(n_steps):
-        if affine:
-            # an overflow here is caught by the finiteness check below
-            with np.errstate(invalid="ignore", over="ignore"):
-                policy.eval_into(x, c, pi, scratch)
-        else:
-            if any_absorbed:
+    # non-finite values are detected by the state check below, not warned
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(n_steps):
+            wealth = x
+            if absorbed.size:
                 # keep absorbed lanes off the policy's domain
-                np.copyto(scratch, x)
-                scratch[absorbed] = x0
-                c_out, pi_out = policy(scratch)
+                np.copyto(query, x)
+                query[absorbed] = x0
+                wealth = query
+            policy.eval_into(wealth, c, pi, scratch)
+            if absorbed.size:
+                c[absorbed] = c_e
+                pi[absorbed] = 0.0
+
+            if p == 0.5:
+                np.sqrt(c, out=util)
             else:
-                c_out, pi_out = policy(x)
-            np.copyto(c, c_out)
-            np.copyto(pi, pi_out)
-            # floor admissibility of the queried policy values
-            np.multiply(x, k, out=drift)
-            drift += l
-            np.multiply(drift, 1.0 - adm_slack, out=diff)
-            diff -= adm_slack
-            np.less(c, diff, out=below)
-            if any_absorbed:
-                below &= ~absorbed
-            if below.any():
-                j = int(np.argmax(below))
-                raise PolicyInadmissible(
-                    f"policy consumption {c[j]} below floor {drift[j]} at x={x[j]}")
-            if l == 0.0:
-                # the admissibility slack can leave c a hair below zero
-                # when the floor itself is zero
-                np.maximum(c, 0.0, out=c)
-        if any_absorbed:
-            c[absorbed] = c_e
-            pi[absorbed] = 0.0
+                np.power(c, p, out=util)
+            util *= math.exp(-beta * i * dt) * w_step / p
+            acc += util
 
-        if p == 0.5:
-            np.sqrt(c, out=util)
-        else:
-            np.power(c, p, out=util)
-        util *= math.exp(-beta * i * dt) * w_step / p
-        acc += util
-
-        _fill_normals(key, i, z)
-        # non-finite intermediates are detected right below, not warned
-        with np.errstate(invalid="ignore", over="ignore"):
+            normals.fill(i, z)
             np.multiply(x, r, out=drift)
             drift -= c
             np.multiply(pi, mu, out=scratch)
@@ -391,21 +443,20 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, key, w_step):
             x_pairs[0] += diff_pairs[0]
             x_pairs[1] -= diff_pairs[1]
 
-        lo = float(x.min())
-        hi = float(x.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise NumericalBlowup(f"non-finite state at step {i}")
-        if lo < x_e:
-            np.less(x, x_e, out=below)
-            x[below] = x_e
-            if any_absorbed:
-                below &= ~absorbed
-            floor_violations += int(np.count_nonzero(below))
-            absorbed |= below
-            any_absorbed = True
-        # clamping lifts wealth only to x_e <= max_wealth
-        if hi > max_wealth:
-            max_wealth = hi
+            lo = float(x.min())
+            hi = float(x.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise NumericalBlowup(f"non-finite state at step {i}")
+            if lo < x_e:
+                np.less(x, x_e, out=below)
+                x[below] = x_e
+                below[absorbed] = False
+                newly = np.flatnonzero(below)
+                floor_violations += newly.size
+                absorbed = np.concatenate((absorbed, newly))
+            # clamping lifts wealth only to x_e <= max_wealth
+            if hi > max_wealth:
+                max_wealth = hi
     return acc, floor_violations, max_wealth
 
 

@@ -27,10 +27,20 @@ A bucket table over u gives a starting node, and a fixed number of
 forward comparisons against the ln x knots, worked out from the table
 when it is built, lands on the piece
 np.searchsorted(ln x_nodes, ln x, "right") - 1 would pick.
+
+The feedback has one evaluation path, TableFeedback.eval_into(x, c, pi,
+scratch), which writes (c, pi) into caller arrays and keeps its work
+arrays between calls: the simulator calls it once per step.  policy_at
+is an allocating wrapper around it.  Each query gathers its piece's four
+coefficients of ln V_x in one take; the slope rows a1, 2 a2, 3 a3 come
+from those (the products by 2 and 3 round as they would on the
+differentiated rows), and binding lanes get the floor through a mask
+rather than a branch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,7 +50,8 @@ from .dual_solver import DualGrid, find_free_boundary, pchip_coefficients
 from .errors import ConvexityLoss, OutOfRange
 from .params import ProblemSpec
 
-__all__ = ["PolicyTable", "RegionPartition", "invert", "value_at", "policy_at", "regions"]
+__all__ = ["PolicyTable", "RegionPartition", "TableFeedback", "invert", "value_at", "policy_at",
+           "regions"]
 
 REGION_CONSTRAINED = "C"
 REGION_UNCONSTRAINED = "U"
@@ -82,21 +93,36 @@ class PolicyTable:
         return _Pieces(self)
 
     def _check_range(self, x: np.ndarray):
-        # written so that NaN fails too; the locator cannot place it
-        if not (np.all(x >= self.x[0]) and np.all(x <= self.x[-1])):
-            raise OutOfRange(
-                f"wealth query outside table range [{self.x[0]}, {self.x[-1]}]; "
-                "enlarge the dual solve domain instead of extrapolating")
+        # one min and one max; NaN propagates into both and fails too
+        lo = x.min(initial=math.inf)
+        hi = x.max(initial=-math.inf)
+        if not (lo >= self.x[0] and hi <= self.x[-1]):
+            raise _out_of_range(lo, hi, self.x)
 
-    def floor_binds(self, x) -> np.ndarray:
+    def floor_binds(self, x, out=None) -> np.ndarray:
         """True where x lies in a constrained interval (boundaries from
-        the refined x_star values, not the nodal flags)."""
+        the refined x_star values, not the nodal flags); written into
+        out when given."""
         x = np.asarray(x, dtype=float)
-        starts_constrained = bool(self.region[0] == REGION_CONSTRAINED)
-        binds = np.full(np.shape(x), starts_constrained, dtype=bool)
+        if out is None:
+            out = np.empty(np.shape(x), dtype=bool)
+        out.fill(self.region[0] == REGION_CONSTRAINED)
         for x_star in self.x_star_list:
-            binds ^= x > x_star
-        return binds
+            out ^= x > x_star
+        return out
+
+
+def _out_of_range(lo: float, hi: float, x: np.ndarray) -> OutOfRange:
+    """The error for a query whose lowest and highest wealth are lo, hi."""
+    if math.isnan(lo) or math.isnan(hi):
+        asked = "NaN"
+    elif lo < x[0]:
+        asked = f"{float(lo)!r}"
+    else:
+        asked = f"{float(hi)!r}"
+    return OutOfRange(
+        f"wealth query {asked} outside table range [{float(x[0])!r}, {float(x[-1])!r}]; "
+        "enlarge the dual solve domain instead of extrapolating")
 
 
 # buckets per interval in the locator's table; more buckets mean fewer
@@ -104,15 +130,15 @@ class PolicyTable:
 _BUCKETS_PER_PIECE = 2
 # bucket-coordinate margin that absorbs rounding in ln(x - x_e)
 _BUCKET_SLACK = 1e-6
-# differentiating a cubic's rows a[1:] multiplies them by their powers
-_POWERS = np.array([[1.0], [2.0], [3.0]])
 
 
 class _Pieces:
     """PCHIP pieces of V and ln V_x in s = ln x, and their interval locator.
 
-    Coefficient rows are stored lowest power first: piece i evaluates
-    a[0][i] + a[1][i] dx + a[2][i] dx^2 + a[3][i] dx^3 at dx = s - knots[i].
+    Each piece is one row (a0, a1, a2, a3), lowest power first, so that
+    a query gathers its coefficients in one take (a 32-byte row, which
+    numpy's take copies on a fast path); piece i evaluates
+    a0 + a1 dx + a2 dx^2 + a3 dx^3 at dx = s - knots[i].
     """
 
     def __init__(self, table: PolicyTable):
@@ -128,9 +154,8 @@ class _Pieces:
         if not x[0] > x_e:
             raise ConvexityLoss(f"first wealth node {float(x[0])!r} not above x_e = {x_e!r}")
         self.knots = s
-        self.value = pchip_coefficients(s, table.V)
-        self.log_vx = pchip_coefficients(s, np.log(table.V_x))
-        self.slope = self.log_vx[1:] * _POWERS
+        self.value = np.ascontiguousarray(pchip_coefficients(s, table.V).T)
+        self.log_vx = np.ascontiguousarray(pchip_coefficients(s, np.log(table.V_x)).T)
 
         # bucket b holds the queries whose coordinate f = (u - u_0) / h
         # truncates to b; its start is the last node sure to lie below them
@@ -149,25 +174,47 @@ class _Pieces:
         self.n_steps = int(np.max(upper - self.start))
         self.next_knot = np.append(s[1:], np.inf)  # i stops at the last node
 
-    def locate(self, x: np.ndarray, s: np.ndarray):
-        """Piece index and offset dx = s - knot for in-range 1-d x, s = ln x."""
-        f = np.log(x - self.x_e)
-        f -= self.u0
-        f *= self.inv_h
-        i = self.start[f.astype(np.intp)]
+    def locate_into(self, x, s, i, dx, work, index, step):
+        """Piece index i and offset dx = s - knots[i] for in-range 1-d x,
+        s = ln x; work, index and step are float, intp and bool arrays
+        of the same length."""
+        np.subtract(x, self.x_e, out=work)
+        np.log(work, out=work)
+        work -= self.u0
+        work *= self.inv_h
+        np.copyto(index, work, casting="unsafe")  # truncates, as astype does
+        # the indices are in bounds by construction; mode="clip" lets
+        # take write into out without a temporary
+        np.take(self.start, index, out=i, mode="clip")
         for _ in range(self.n_steps):
-            i += self.next_knot[i] <= s
+            np.take(self.next_knot, i, out=work, mode="clip")
+            np.less_equal(work, s, out=step)
+            i += step
         np.minimum(i, self.last, out=i)
-        return i, s - self.knots[i]
+        np.take(self.knots, i, out=dx, mode="clip")
+        np.subtract(s, dx, out=dx)
 
-    @staticmethod
-    def cubic(a: np.ndarray, i: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        dx2 = dx * dx
-        return a[0][i] + a[1][i] * dx + a[2][i] * dx2 + a[3][i] * (dx2 * dx)
+    def locate(self, x: np.ndarray, s: np.ndarray):
+        """Allocating form of locate_into: returns (i, dx)."""
+        n = len(x)
+        i = np.empty(n, dtype=np.intp)
+        dx = np.empty(n)
+        self.locate_into(x, s, i, dx, np.empty(n), np.empty(n, dtype=np.intp),
+                         np.empty(n, dtype=bool))
+        return i, dx
 
-    @staticmethod
-    def quadratic(a: np.ndarray, i: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        return a[0][i] + a[1][i] * dx + a[2][i] * (dx * dx)
+
+def _cubic_into(rows, dx, dx2, out, work):
+    """out = a0 + a1 dx + a2 dx^2 + a3 dx^3 for gathered coefficient
+    rows, in the operation order of scipy's PPoly."""
+    a0, a1, a2, a3 = rows.T
+    np.multiply(a1, dx, out=out)
+    out += a0
+    np.multiply(a2, dx2, out=work)
+    out += work
+    np.multiply(dx2, dx, out=work)
+    work *= a3
+    out += work
 
 
 def invert(spec: ProblemSpec, grid: DualGrid) -> PolicyTable:
@@ -212,8 +259,76 @@ def value_at(table: PolicyTable, x):
     pieces = table._pieces
     flat = x_arr.ravel()
     i, dx = pieces.locate(flat, np.log(flat))
-    out = pieces.cubic(pieces.value, i, dx).reshape(x_arr.shape)
-    return float(out) if np.ndim(x) == 0 else out
+    out = np.empty_like(dx)
+    _cubic_into(np.take(pieces.value, i, axis=0), dx, dx * dx, out, np.empty_like(dx))
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(x_arr.shape)
+
+
+class TableFeedback:
+    """The table's feedback law (c, pi) as a simulator policy.
+
+    Calling it is policy_at(table, x).  eval_into(x, c, pi, scratch)
+    writes (c, pi) at a 1-d float64 x into c and pi, and uses scratch
+    and arrays of its own as work space; those are kept between calls
+    and reallocated when len(x) changes, so an instance serves one
+    caller at a time.  Run it with invalid-value warnings off (as
+    policy_at and the simulator do): the floor mask multiplies an
+    overflowed candidate by zero.
+    """
+
+    def __init__(self, table: PolicyTable):
+        self.table = table
+        self._n = -1
+
+    def __call__(self, x):
+        return policy_at(self.table, x)
+
+    def eval_into(self, x, c, pi, scratch):
+        table = self.table
+        spec = table.spec
+        table._check_range(x)
+        pieces = table._pieces
+        n = len(x)
+        if n != self._n:
+            self._n = n
+            self._rows = np.empty((n, 4))
+            self._work = np.empty((3, n))
+            self._index = np.empty((2, n), dtype=np.intp)
+            self._mask = np.empty((2, n), dtype=bool)
+        rows = self._rows
+        s, dx, dx2 = self._work
+        index, i = self._index
+        step, slack = self._mask
+
+        np.log(x, out=s)
+        pieces.locate_into(x, s, i, dx, dx2, index, step)
+        np.take(pieces.log_vx, i, axis=0, out=rows, mode="clip")
+        _, a1, a2, a3 = rows.T
+        np.multiply(dx, dx, out=dx2)
+        _cubic_into(rows, dx, dx2, pi, c)
+        V_x = np.exp(pi, out=pi)
+        # d ln V_x / d ln x from the same row, a1 + (2 a2) dx + (3 a3) dx^2:
+        # the products by 2 and 3 round as on the differentiated rows
+        slope = np.multiply(a2, 2.0, out=s)
+        slope *= dx
+        slope += a1
+        np.multiply(a3, 3.0, out=scratch)
+        scratch *= dx2
+        slope += scratch
+        if slope.max(initial=-math.inf) >= 0.0:
+            raise ConvexityLoss("interpolated V_x not strictly decreasing")
+
+        # c = floor where the refined boundaries say it binds, else
+        # max(V_x^(1/(p-1)), floor): the candidate is zeroed on binding
+        # lanes, and fmax drops the NaN that zero times inf gives
+        candidate = np.power(V_x, 1.0 / (spec.p - 1.0), out=V_x)
+        np.logical_not(table.floor_binds(x, out=slack), out=slack)
+        candidate *= slack
+        np.multiply(x, spec.k, out=c)
+        c += spec.l
+        np.fmax(candidate, c, out=c)
+        np.multiply(x, -(spec.mu / spec.sigma**2), out=pi)
+        pi /= slope
 
 
 def policy_at(table: PolicyTable, x):
@@ -222,22 +337,15 @@ def policy_at(table: PolicyTable, x):
     Where the refined free boundaries put x in a constrained interval,
     c is the floor k x + l; elsewhere c = max(V_x^(1/(p-1)), k x + l), so
     c never dips below the floor when the interpolated V_x and the
-    bisected boundary disagree by a hair.
+    bisected boundary disagree by a hair.  An allocating wrapper around
+    TableFeedback.eval_into.
     """
-    spec = table.spec
     x_arr = np.asarray(x, dtype=float)
-    table._check_range(x_arr)
-    pieces = table._pieces
     flat = x_arr.ravel()
-    i, dx = pieces.locate(flat, np.log(flat))
-    V_x = np.exp(pieces.cubic(pieces.log_vx, i, dx))
-    slope = pieces.quadratic(pieces.slope, i, dx)  # d ln V_x / d ln x, < 0
-    if np.any(slope >= 0.0):
-        raise ConvexityLoss("interpolated V_x not strictly decreasing")
-    floor = spec.k * flat + spec.l
-    candidate = V_x ** (1.0 / (spec.p - 1.0))
-    c = np.where(table.floor_binds(flat), floor, np.maximum(candidate, floor))
-    pi = -(spec.mu / spec.sigma**2) * flat / slope
+    c = np.empty_like(flat)
+    pi = np.empty_like(flat)
+    with np.errstate(invalid="ignore"):
+        TableFeedback(table).eval_into(flat, c, pi, np.empty_like(flat))
     if np.ndim(x) == 0:
         return float(c[0]), float(pi[0])
     return c.reshape(x_arr.shape), pi.reshape(x_arr.shape)

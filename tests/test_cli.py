@@ -168,6 +168,14 @@ def test_simulate_infinite_horizon_exits_2(capsys, tmp_path):
     assert "horizon" in capsys.readouterr().err
 
 
+def test_simulate_too_many_steps_exits_2(capsys, tmp_path):
+    cfg = write_config(tmp_path, "merton.json", k=0.0, l=0.0)
+    assert main(["simulate", "--config", str(cfg), "--x0", "1", "--dt", "1e-300",
+                 "--horizon", "1", "--paths", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "dt=1e-300" in err and "horizon=1.0" in err
+
+
 def test_simulate_missing_x0_exits_2(capsys, tmp_path):
     cfg = write_config(tmp_path, k=0.02, l=1.0)
     assert main(["simulate", "--config", str(cfg), "--dt", "0.01",

@@ -485,9 +485,11 @@ def test_pchip_exact_on_solved_tables(solved_markets):
         _assert_pchip_exact(s, table.V)
         _assert_pchip_exact(s, np.log(table.V_x))
         pieces = table._pieces
-        assert np.array_equal(_bits(pieces.value), _bits(pchip_coefficients(s, table.V)))
-        assert np.array_equal(_bits(pieces.slope),
-                              _bits(pchip_coefficients(s, np.log(table.V_x))[1:] * _POWERS))
+        # one row (a0, a1, a2, a3) per piece; the slope d ln V_x / d ln x
+        # is taken from the ln V_x rows at query time
+        assert np.array_equal(_bits(pieces.value.T), _bits(pchip_coefficients(s, table.V)))
+        assert np.array_equal(_bits(pieces.log_vx.T),
+                              _bits(pchip_coefficients(s, np.log(table.V_x))))
 
 
 def test_free_boundary_bit_identical_to_scipy_bisection(solved_markets):

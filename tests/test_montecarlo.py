@@ -24,7 +24,7 @@ from consfloor.errors import (
     ParameterError,
     PolicyInadmissible,
 )
-from consfloor.montecarlo import AffinePolicy, SimReport
+from consfloor.montecarlo import MAX_STEPS, AffinePolicy, SimReport, _Normals, _philox_key
 from oracles import pchip_policy
 
 BASE = dict(r=0.03, mu=0.05, sigma=0.2, beta=0.1, p=0.5)
@@ -47,6 +47,25 @@ def test_sim_config_validation():
     for seed in (-1, 1.5):
         with pytest.raises(ParameterError, match="seed"):
             SimConfig(x0=1.0, seed=seed)
+    # step counts above MAX_STEPS, including one that overflows to inf
+    for dt in (1e-300, 5e-324, 1.0 / (MAX_STEPS + 1)):
+        with pytest.raises(ParameterError, match=r"horizon=1\.0 at dt="):
+            SimConfig(x0=1.0, dt=dt, horizon=1.0)
+    assert SimConfig(x0=1.0, dt=1.0, horizon=float(MAX_STEPS)).n_steps == MAX_STEPS
+
+
+@pytest.mark.parametrize("n", [1000, 5001])
+def test_reused_generator_matches_fresh_philox(n):
+    """Resetting one generator to counter i << 128 gives the normals of a
+    fresh Philox(key, counter=i << 128), in any order of steps."""
+    normals = _Normals(seed=11)
+    key = _philox_key(11)
+    z = np.empty(n, dtype=np.float32)
+    for i in (0, 1, 4999, 2**40, 1):
+        normals.fill(i, z)
+        fresh = np.random.Generator(np.random.Philox(key=key, counter=i << 128))
+        expected = fresh.standard_normal(n, dtype=np.float32)
+        assert np.array_equal(z.view(np.uint32), expected.view(np.uint32))
 
 
 def test_degenerate_marginal_wealth_is_exact(spec_nh):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from consfloor import (
     DualGrid,
+    PolicyTable,
     invert,
     make_spec,
     policy_at,
@@ -12,6 +15,7 @@ from consfloor import (
 )
 from consfloor.dual_solver import default_config
 from consfloor.errors import ConvexityLoss, OutOfRange
+from consfloor.policy import TableFeedback
 from oracles import pchip_policy
 
 BASE = dict(r=0.03, mu=0.05, sigma=0.2, beta=0.1, p=0.5)
@@ -137,6 +141,14 @@ def test_policy_at_array_and_scalar_forms(nh_table):
         assert c == c_arr[i] and pi == pi_arr[i]
 
 
+def _eval_into(feedback, x):
+    """(c, pi) from feedback.eval_into at 1-d x, with the simulator's errstate."""
+    c, pi = np.empty_like(x), np.empty_like(x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        feedback.eval_into(x, c, pi, np.empty_like(x))
+    return c, pi
+
+
 def test_extrapolation_refused(nh_table):
     with pytest.raises(OutOfRange):
         value_at(nh_table, nh_table.x[-1] * 1.01)
@@ -246,7 +258,74 @@ def test_collapsed_nodes_raise_typed_error(span):
     """At 16384 nodes the first wealth nodes coincide in ln x: invert
     still succeeds, queries raise ConvexityLoss naming the nodes."""
     t = _solve_table(dict(k=0.02, l=1.0), dict(span=span, n_nodes=16384))
-    for query in (policy_at, value_at):
+    for query in (policy_at, value_at,
+                  lambda t, x: _eval_into(TableFeedback(t), np.array([x, 2.0 * x]))):
         with pytest.raises(ConvexityLoss, match="fewer nodes or a smaller span"):
             query(t, 150.0)
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+def test_eval_into_bit_identical_to_policy_at(locator_table):
+    """One evaluator, reused across two arrays of one length and a third
+    of another, gives the bits of policy_at and of scipy's PCHIP at the
+    end nodes, every knot, a few ulps either side of each x* and a scan
+    just above it."""
+    t = locator_table
+    probes = [t.x]
+    for x_star in t.x_star_list:
+        probes.append(x_star + np.arange(-4, 5) * np.spacing(x_star))
+        probes.append(np.linspace(x_star + 1e-10, x_star + 6e-7, 20_001))
+    pts = np.concatenate(probes)
+    pts = pts[(pts >= t.x[0]) & (pts <= t.x[-1])]
+    feedback = TableFeedback(t)
+    rng = np.random.default_rng(9)
+    for q in (pts, rng.permutation(pts), pts[::7], pts):
+        c, pi = _eval_into(feedback, q)
+        c_ref, pi_ref = policy_at(t, q)
+        assert np.array_equal(_bits(c), _bits(c_ref))
+        assert np.array_equal(_bits(pi), _bits(pi_ref))
+        _, c_pchip, pi_pchip = pchip_policy(t, q)
+        assert np.array_equal(_bits(c), _bits(c_pchip))
+        assert np.array_equal(_bits(pi), _bits(pi_pchip))
+
+
+@pytest.mark.parametrize("where", ["low", "high", "nan"])
+def test_out_of_range_names_the_query(nh_table, where):
+    """policy_at, value_at and eval_into refuse the same query with the
+    same message: the lowest (or highest) offending wealth, or NaN, and
+    the table's range."""
+    t = nh_table
+    lo, hi = float(t.x[0]), float(t.x[-1])
+    bad, asked = {"low": ([lo - 1.0, lo - 2.0], repr(lo - 2.0)),
+                  "high": ([1.5 * hi, 2.0 * hi], repr(2.0 * hi)),
+                  "nan": ([math.nan, 200.0], "NaN")}[where]
+    x = np.array([150.0] + bad)
+    messages = set()
+    for query in (policy_at, value_at, lambda t, x: _eval_into(TableFeedback(t), x)):
+        with pytest.raises(OutOfRange) as info:
+            query(t, x)
+        messages.add(str(info.value))
+    (message,) = messages
+    assert message.startswith(f"wealth query {asked} outside table range [{lo!r}, {hi!r}]")
+
+
+def test_binding_lane_gets_floor_when_candidate_overflows(spec_nh):
+    """With V_x near 1e-200 the candidate V_x^(1/(p-1)) = V_x^-2 is inf;
+    binding lanes still get the floor (zero times inf would be NaN), and
+    slack lanes keep the candidate, as policy_at does."""
+    x = np.linspace(101.0, 110.0, 10)
+    t = PolicyTable(spec=spec_nh, x=x, V=np.arange(1.0, 11.0),
+                    V_x=np.geomspace(1e-200, 1e-210, 10), V_xx=-np.ones(10),
+                    c_star=np.ones(10), pi_star=np.ones(10), region=np.full(10, "C"),
+                    x_star_list=(106.0,))
+    q = np.array([102.5, 105.0, 107.5, 109.0])
+    c, _ = _eval_into(TableFeedback(t), q)
+    binds = q <= 106.0
+    assert np.array_equal(c[binds], spec_nh.k * q[binds] + spec_nh.l)
+    assert np.all(c[~binds] == np.inf)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(c, policy_at(t, q)[0])
 
