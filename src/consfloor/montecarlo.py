@@ -19,12 +19,14 @@ Two stepping schemes, chosen from the policy and spec alone:
 
 The Euler loop evaluates every policy at one call site,
 policy.eval_into(x, c, pi, scratch), which writes consumption and
-holding into the simulator's arrays.  AffinePolicy and the solved
-table's TableFeedback have that method, and both are admissible by
-construction (c = max(., k x + l) for the table).  A plain callable
-x -> (c, pi) is wrapped in an adapter that copies its values and checks
-c >= k x + l at every step.  Absorbed lanes (below) are queried at x0
-and then set to (c_e, 0), so no policy sees wealth x_e.
+holding into the simulator's arrays and returns the policy's V_x at x
+when it knows it, None otherwise.  AffinePolicy (None) and the solved
+table's TableFeedback (its interpolated V_x) have that method, and both
+are admissible by construction (c = max(., k x + l) for the table).  A
+plain callable x -> (c, pi) is wrapped in an adapter that copies its
+values, checks c >= k x + l at every step and returns None.  Absorbed
+lanes (below) are queried at x0 and then set to (c_e, 0), so no policy
+sees wealth x_e.
 
 Both accumulate discounted utility with the consumption rate frozen at
 the left endpoint of each step and the discount factor integrated
@@ -50,6 +52,29 @@ all n paths, a fixed reduction order.  The two paths of a pair are
 negatively correlated, so the standard error is taken over the n/2 pair
 means, (acc_j + acc_{j+n/2}) / 2; a per-path standard error would
 ignore that correlation and overstate the error.
+
+When the policy returns V_x, the Euler scheme subtracts a martingale
+control variate from each path's utility sum, with coefficient 1 (the
+hedge control variate of Clewlow & Carverhill, J. Derivatives 1994;
+Glasserman 2003, ch. 4):
+
+    sum_i e^{-beta t_i} (1 - e^{-kappa (T - t_i)}) V_x(X_i) sigma pi_i sqrt(dt) Z_i
+
+with Z_i the signed normal of step i, the one that moved the path.
+Under the optimal feedback e^{-beta t} V(X_t) + int_0^t e^{-beta s}
+U(c_s) ds is a martingale whose dW part is e^{-beta t} V_x sigma pi dW,
+so the sum tracks the noise of the utility sum; the weight
+1 - e^{-kappa (T - t)} is the x-derivative of the finite-horizon value
+of the homogeneous policy, relative to V_x.  Every factor in front of
+Z_i is known at t_i and E[Z_i | F_{t_i}] = 0, so each term has mean zero
+whatever V_x and the weight are: the corrected estimator stays exactly
+unbiased for the same finite-horizon quantity, and only its variance
+depends on how well V_x fits.  Absorbed lanes hold pi = 0 and add
+nothing.  The report then carries the corrected estimate and standard
+error, control_variate = True, and the plain utility sum's standard
+error as uncorrected_std_error.  The exact log-normal scheme runs
+without it.  An estimate or standard error that is not finite, as an
+overflowed control variate gives, raises NumericalBlowup.
 
 When an Euler step lands below the sustainable floor x_e, the path is
 clamped to x_e and switched permanently to the floor policy (c_e, 0),
@@ -138,7 +163,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Estimate of realized lifetime discounted utility under a policy."""
+    """Estimate of realized lifetime discounted utility under a policy.
+
+    control_variate says whether the value-gradient martingale was
+    subtracted (module docstring); uncorrected_std_error is the standard
+    error of the plain utility sum, equal to std_error when it was not.
+    """
 
     estimate: float
     std_error: float
@@ -150,9 +180,17 @@ class SimReport:
     horizon: float
     seed: int
     max_wealth: float
+    control_variate: bool
+    uncorrected_std_error: float
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        """The fields as a dict; without the control variate std_error
+        is the uncorrected one, and both control-variate fields are left
+        out."""
+        obj = asdict(self)
+        if not self.control_variate:
+            del obj["control_variate"], obj["uncorrected_std_error"]
+        return obj
 
 
 @dataclass(frozen=True)
@@ -323,24 +361,36 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
             and policy.c1 > 0.0 and policy.c1 >= spec.k and spec.l == 0.0 and x0 > 0.0):
         acc, floor_violations, max_wealth = _lognormal_steps(
             spec, policy, x0, dt, n_steps, n, normals, w_step)
+        mart = None
     else:
-        acc, floor_violations, max_wealth = _euler_steps(
+        acc, mart, floor_violations, max_wealth = _euler_steps(
             spec, policy, x0, dt, n_steps, n, normals, w_step)
 
-    estimate = float(np.mean(acc))
-    if np.all(acc == acc[0]):
-        # degenerate deterministic paths: variance is exactly zero (the
-        # pairwise mean can round one ulp off the common value)
-        estimate = float(acc[0])
-        std_error = 0.0
-    else:
-        h = n // 2
-        pair_means = 0.5 * (acc[:h] + acc[h:])
-        std_error = float(np.std(pair_means, ddof=1) / math.sqrt(h))
+    # an overflowed control variate is reported by the check below
+    with np.errstate(invalid="ignore", over="ignore"):
+        uncorrected = _mean_and_std_error(acc)
+        estimate, std_error = uncorrected if mart is None else _mean_and_std_error(acc - mart)
+    if not (math.isfinite(estimate) and math.isfinite(std_error)):
+        raise NumericalBlowup(
+            f"estimate {estimate!r} with standard error {std_error!r} is not finite"
+            + ("" if mart is None else " after subtracting the control variate"))
     tail_bound = math.exp(-spec.beta * horizon) * homogeneous_coef(spec) * max_wealth**spec.p
     return SimReport(estimate=estimate, std_error=std_error, tail_bound=tail_bound,
                      floor_violations=floor_violations, n_paths=n, n_steps=n_steps,
-                     dt=dt, horizon=horizon, seed=cfg.seed, max_wealth=max_wealth)
+                     dt=dt, horizon=horizon, seed=cfg.seed, max_wealth=max_wealth,
+                     control_variate=mart is not None, uncorrected_std_error=uncorrected[1])
+
+
+def _mean_and_std_error(values):
+    """Mean of the per-path values, and its standard error over the
+    antithetic pair means (module docstring)."""
+    if np.all(values == values[0]):
+        # degenerate deterministic paths: variance is exactly zero (the
+        # pairwise mean can round one ulp off the common value)
+        return float(values[0]), 0.0
+    h = len(values) // 2
+    pair_means = 0.5 * (values[:h] + values[h:])
+    return float(np.mean(values)), float(np.std(pair_means, ddof=1) / math.sqrt(h))
 
 
 def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
@@ -384,8 +434,14 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
 
 
 def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
-    """Euler-Maruyama steps with clamping at x_e; see the module docstring."""
+    """Euler-Maruyama steps with clamping at x_e; see the module docstring.
+
+    Returns the per-path utility sums, the per-path sums of the control
+    variate's increments (None when the policy returns no V_x), the
+    number of clamped paths and the highest wealth reached.
+    """
     r, mu, sigma, beta, p = spec.r, spec.mu, spec.sigma, spec.beta, spec.p
+    kappa = spec.kappa
     x_e, c_e = spec.x_e, spec.c_e
     sig_sq_dt = sigma * math.sqrt(dt)
     if not hasattr(policy, "eval_into"):
@@ -394,6 +450,7 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     x = np.full(n, float(x0))
     query = np.empty(n)
     acc = np.zeros(n)
+    mart = None
     absorbed = np.empty(0, dtype=np.intp)
     h = n // 2
     z = np.empty(h, dtype=np.float32)
@@ -407,6 +464,8 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     # rows are the two halves of each antithetic pair
     x_pairs = x.reshape(2, h)
     diff_pairs = diff.reshape(2, h)
+    scratch_pairs = scratch.reshape(2, h)
+    pair_weight = np.empty((2, 1))
     floor_violations = 0
     max_wealth = float(x0)
 
@@ -419,7 +478,7 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
                 np.copyto(query, x)
                 query[absorbed] = x0
                 wealth = query
-            policy.eval_into(wealth, c, pi, scratch)
+            V_x = policy.eval_into(wealth, c, pi, scratch)
             if absorbed.size:
                 c[absorbed] = c_e
                 pi[absorbed] = 0.0
@@ -442,6 +501,17 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
             x += drift
             x_pairs[0] += diff_pairs[0]
             x_pairs[1] -= diff_pairs[1]
+            if V_x is not None:
+                # e^{-beta t_i} (1 - e^{-kappa (T - t_i)}) V_x(X_i) sigma pi_i sqrt(dt) Z_i,
+                # with Z_i's sign per half of each pair, as in the wealth step
+                if mart is None:
+                    mart = np.zeros(n)
+                weight = math.exp(-beta * i * dt) * -math.expm1(-kappa * (n_steps - i) * dt)
+                pair_weight[0] = weight
+                pair_weight[1] = -weight
+                np.multiply(V_x, diff, out=scratch)
+                scratch_pairs *= pair_weight
+                mart += scratch
 
             lo = float(x.min())
             hi = float(x.max())
@@ -457,7 +527,7 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
             # clamping lifts wealth only to x_e <= max_wealth
             if hi > max_wealth:
                 max_wealth = hi
-    return acc, floor_violations, max_wealth
+    return acc, mart, floor_violations, max_wealth
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,14 @@ when it is built, lands on the piece
 np.searchsorted(ln x_nodes, ln x, "right") - 1 would pick.
 
 The feedback has one evaluation path, TableFeedback.eval_into(x, c, pi,
-scratch), which writes (c, pi) into caller arrays and keeps its work
-arrays between calls: the simulator calls it once per step.  policy_at
-is an allocating wrapper around it.  Each query gathers its piece's four
-coefficients of ln V_x in one take; the slope rows a1, 2 a2, 3 a3 come
-from those (the products by 2 and 3 round as they would on the
-differentiated rows), and binding lanes get the floor through a mask
-rather than a branch.
+scratch), which writes (c, pi) into caller arrays, returns the
+interpolated V_x it computes on the way (the simulator's control
+variate uses it), and keeps its work arrays between calls: the
+simulator calls it once per step.  policy_at is an allocating wrapper
+around it.  Each query gathers its piece's four coefficients of ln V_x
+in one take; the slope rows a1, 2 a2, 3 a3 come from those (the
+products by 2 and 3 round as they would on the differentiated rows),
+and binding lanes get the floor through a mask rather than a branch.
 """
 
 from __future__ import annotations
@@ -268,11 +269,11 @@ class TableFeedback:
     """The table's feedback law (c, pi) as a simulator policy.
 
     Calling it is policy_at(table, x).  eval_into(x, c, pi, scratch)
-    writes (c, pi) at a 1-d float64 x into c and pi, and uses scratch
-    and arrays of its own as work space; those are kept between calls
-    and reallocated when len(x) changes, so an instance serves one
-    caller at a time.  Run it with invalid-value warnings off (as
-    policy_at and the simulator do): the floor mask multiplies an
+    writes (c, pi) at a 1-d float64 x into c and pi, returns V_x at x,
+    and uses scratch and arrays of its own as work space; those are kept
+    between calls and reallocated when len(x) changes, so an instance
+    serves one caller at a time.  Run it with invalid-value warnings off
+    (as policy_at and the simulator do): the floor mask multiplies an
     overflowed candidate by zero.
     """
 
@@ -284,6 +285,9 @@ class TableFeedback:
         return policy_at(self.table, x)
 
     def eval_into(self, x, c, pi, scratch):
+        """Write (c, pi) at x into c and pi and return V_x at x: exp of
+        the interpolated ln V_x (scipy's PCHIP value, bit for bit), in a
+        work array of the evaluator's that the next call overwrites."""
         table = self.table
         spec = table.spec
         table._check_range(x)
@@ -292,11 +296,11 @@ class TableFeedback:
         if n != self._n:
             self._n = n
             self._rows = np.empty((n, 4))
-            self._work = np.empty((3, n))
+            self._work = np.empty((4, n))
             self._index = np.empty((2, n), dtype=np.intp)
             self._mask = np.empty((2, n), dtype=bool)
         rows = self._rows
-        s, dx, dx2 = self._work
+        s, dx, dx2, V_x = self._work
         index, i = self._index
         step, slack = self._mask
 
@@ -306,7 +310,7 @@ class TableFeedback:
         _, a1, a2, a3 = rows.T
         np.multiply(dx, dx, out=dx2)
         _cubic_into(rows, dx, dx2, pi, c)
-        V_x = np.exp(pi, out=pi)
+        np.exp(pi, out=V_x)
         # d ln V_x / d ln x from the same row, a1 + (2 a2) dx + (3 a3) dx^2:
         # the products by 2 and 3 round as on the differentiated rows
         slope = np.multiply(a2, 2.0, out=s)
@@ -321,7 +325,7 @@ class TableFeedback:
         # c = floor where the refined boundaries say it binds, else
         # max(V_x^(1/(p-1)), floor): the candidate is zeroed on binding
         # lanes, and fmax drops the NaN that zero times inf gives
-        candidate = np.power(V_x, 1.0 / (spec.p - 1.0), out=V_x)
+        candidate = np.power(V_x, 1.0 / (spec.p - 1.0), out=dx)
         np.logical_not(table.floor_binds(x, out=slack), out=slack)
         candidate *= slack
         np.multiply(x, spec.k, out=c)
@@ -329,6 +333,7 @@ class TableFeedback:
         np.fmax(candidate, c, out=c)
         np.multiply(x, -(spec.mu / spec.sigma**2), out=pi)
         pi /= slope
+        return V_x
 
 
 def policy_at(table: PolicyTable, x):

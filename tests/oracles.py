@@ -5,9 +5,9 @@ significant digits, deliberately avoiding the package's own code paths:
 roots come from bisection rather than the quadratic formula, the
 two-branch dual coefficients from the explicit solved expressions rather
 than a linear solve, and the consumption Hamiltonian from brute-force
-grid maximization.  pchip_policy and pchip_free_boundary are the
-floating-point references: the table policy and the free-boundary
-bisection evaluated through scipy's own PchipInterpolator objects and
+grid maximization.  pchip_policy, pchip_vx and pchip_free_boundary are
+the floating-point references: the table policy, its V_x and the
+free-boundary bisection evaluated through scipy's own PchipInterpolator objects and
 interval search, which the package must reproduce bit for bit.
 """
 
@@ -159,6 +159,11 @@ def pchip_policy(table, x):
     c = np.where(table.floor_binds(x), floor, np.maximum(candidate, floor))
     pi = -(spec.mu / spec.sigma**2) * x / slope
     return PchipInterpolator(knots, table.V)(s), c, pi
+
+
+def pchip_vx(table, x):
+    """V_x at wealth array x: exp of a PchipInterpolator of ln V_x in ln x."""
+    return np.exp(PchipInterpolator(np.log(table.x), np.log(table.V_x))(np.log(x)))
 
 
 def pchip_free_boundary(spec, grid):

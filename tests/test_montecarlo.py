@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from consfloor import (
+    PolicyTable,
     SimConfig,
     compare_to_value,
     floor_feedback,
@@ -14,6 +15,7 @@ from consfloor import (
     make_spec,
     merton_feedback,
     merton_value,
+    policy_at,
     simulate,
     solve_dual,
     table_feedback,
@@ -24,8 +26,15 @@ from consfloor.errors import (
     ParameterError,
     PolicyInadmissible,
 )
-from consfloor.montecarlo import MAX_STEPS, AffinePolicy, SimReport, _Normals, _philox_key
-from oracles import pchip_policy
+from consfloor.montecarlo import (
+    MAX_STEPS,
+    AffinePolicy,
+    SimReport,
+    _CheckedPolicy,
+    _Normals,
+    _philox_key,
+)
+from oracles import pchip_policy, pchip_vx
 
 BASE = dict(r=0.03, mu=0.05, sigma=0.2, beta=0.1, p=0.5)
 
@@ -229,20 +238,98 @@ def test_table_policy_runs_admissibly(spec_nh, nh_table):
     assert report.estimate > 0
 
 
+class _PchipFeedback:
+    """The table's feedback evaluated by scipy's PchipInterpolator, on the
+    simulator's eval_into protocol: writes (c, pi) and returns V_x."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def eval_into(self, x, c, pi, scratch):
+        _, c_ref, pi_ref = pchip_policy(self.table, x)
+        np.copyto(c, c_ref)
+        np.copyto(pi, pi_ref)
+        return pchip_vx(self.table, x)
+
+
 def test_table_policy_report_is_reproduced(spec_nh, nh_table):
-    """The table policy's report equals, bit for bit, the same simulation
-    driven by scipy's PCHIP evaluation.  The recorded figures come from
-    that evaluation with numpy's AVX-512 kernels; numpy's AVX2 kernels
-    round log, exp and power differently in the last bit, which moves
-    the floats by about 1e-12 (relative) after 500 steps."""
+    """The table policy's report, control variate included, equals bit
+    for bit the same simulation driven by scipy's PCHIP evaluation.  The
+    recorded figures come from that evaluation with numpy's AVX-512
+    kernels; numpy's AVX2 kernels round log, exp and power differently in
+    the last bit, which moves the floats by about 1e-12 (relative) after
+    500 steps."""
     cfg = SimConfig(x0=150.0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=2026)
     report = simulate(spec_nh, table_feedback(nh_table), cfg)
-    assert report == simulate(spec_nh, lambda x: pchip_policy(nh_table, x)[1:], cfg)
+    assert report == simulate(spec_nh, _PchipFeedback(nh_table), cfg)
     recorded = SimReport(
-        estimate=37.29463649169102, std_error=0.19694254305303094,
+        estimate=37.119804255097236, std_error=0.015406024812351888,
         tail_bound=262.82973275222236, floor_violations=0, n_paths=2000, n_steps=500,
-        dt=0.02, horizon=10.0, seed=2026, max_wealth=13717.861812164527)
+        dt=0.02, horizon=10.0, seed=2026, max_wealth=13717.861812164527,
+        control_variate=True, uncorrected_std_error=0.19694254305303094)
     assert report.to_obj() == pytest.approx(recorded.to_obj(), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("x0", [105.0, 150.0, 300.0])
+def test_control_variate_keeps_paths_and_cuts_error(spec_nh, nh_table, x0):
+    """The table's V_x drives the control variate; the same policy as a
+    plain callable runs without it.  Both runs take the same paths, the
+    estimates agree within 4 plain standard errors, and the corrected
+    standard error is at most a fifth of the plain one."""
+    for seed in (3, 4):
+        cfg = SimConfig(x0=x0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=seed)
+        cv = simulate(spec_nh, table_feedback(nh_table), cfg)
+        plain = simulate(spec_nh, lambda x: policy_at(nh_table, x), cfg)
+        assert cv.control_variate and not plain.control_variate
+        assert (cv.floor_violations, cv.max_wealth, cv.tail_bound) == \
+            (plain.floor_violations, plain.max_wealth, plain.tail_bound)
+        assert cv.uncorrected_std_error == plain.std_error == plain.uncorrected_std_error
+        assert abs(cv.estimate - plain.estimate) <= 4.0 * plain.std_error
+        assert cv.std_error <= plain.std_error / 5.0, (cv.std_error, plain.std_error)
+
+
+@pytest.mark.parametrize("x0", [105.0, 150.0])
+def test_control_variate_std_error_is_calibrated(spec_nh, nh_table, x0):
+    """Across 40 seeds the corrected estimates spread as their reported
+    standard errors say."""
+    reports = [simulate(spec_nh, table_feedback(nh_table),
+                        SimConfig(x0=x0, dt=1 / 50, horizon=5.0, n_paths=2000, seed=s))
+               for s in range(40)]
+    spread = np.std([r.estimate for r in reports], ddof=1)
+    rms_se = math.sqrt(np.mean([r.std_error**2 for r in reports]))
+    assert 0.7 <= spread / rms_se <= 1.4, (spread, rms_se)
+
+
+def test_only_the_table_returns_v_x(spec_nh, nh_table):
+    """eval_into returns V_x for the solved table and None for affine
+    policies and wrapped callables, whose reports leave the control
+    variate out of their JSON."""
+    x = np.array([120.0, 150.0, 300.0, 400.0])
+    c, pi, scratch = np.empty(4), np.empty(4), np.empty(4)
+    for pol in (merton_feedback(spec_nh), floor_feedback(spec_nh),
+                _CheckedPolicy(lambda q: policy_at(nh_table, q), spec_nh.k, spec_nh.l)):
+        assert pol.eval_into(x, c, pi, scratch) is None
+    assert np.array_equal(table_feedback(nh_table).eval_into(x, c, pi, scratch),
+                          pchip_vx(nh_table, x))
+    cfg = SimConfig(x0=150.0, dt=1 / 50, horizon=2.0, n_paths=8, seed=1)
+    obj = simulate(spec_nh, floor_feedback(spec_nh), cfg).to_obj()
+    assert "control_variate" not in obj and "uncorrected_std_error" not in obj
+    obj = simulate(spec_nh, table_feedback(nh_table), cfg).to_obj()
+    assert obj["control_variate"] is True and obj["uncorrected_std_error"] > obj["std_error"]
+
+
+def test_overflowed_control_variate_is_typed(spec_nh):
+    """A hand-built table whose V_x is near the float64 maximum makes the
+    control variate overflow: NumericalBlowup, and no numpy warning."""
+    x = np.linspace(101.0, 110.0, 10)
+    t = PolicyTable(spec=spec_nh, x=x, V=np.arange(1.0, 11.0),
+                    V_x=np.geomspace(1.7e308, 1e298, 10), V_xx=-np.ones(10),
+                    c_star=np.ones(10), pi_star=np.ones(10), region=np.full(10, "C"))
+    cfg = SimConfig(x0=105.0, dt=1 / 50, horizon=2.0, n_paths=8, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBlowup, match="control variate"):
+            simulate(spec_nh, table_feedback(t), cfg)
 
 
 def test_tail_control_under_horizon_doubling(spec_homog):

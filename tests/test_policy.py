@@ -16,7 +16,7 @@ from consfloor import (
 from consfloor.dual_solver import default_config
 from consfloor.errors import ConvexityLoss, OutOfRange
 from consfloor.policy import TableFeedback
-from oracles import pchip_policy
+from oracles import pchip_policy, pchip_vx
 
 BASE = dict(r=0.03, mu=0.05, sigma=0.2, beta=0.1, p=0.5)
 
@@ -270,9 +270,9 @@ def _bits(a):
 
 def test_eval_into_bit_identical_to_policy_at(locator_table):
     """One evaluator, reused across two arrays of one length and a third
-    of another, gives the bits of policy_at and of scipy's PCHIP at the
-    end nodes, every knot, a few ulps either side of each x* and a scan
-    just above it."""
+    of another, gives the bits of policy_at and of scipy's PCHIP (c, pi
+    and the returned V_x) at the end nodes, every knot, a few ulps either
+    side of each x* and a scan just above it."""
     t = locator_table
     probes = [t.x]
     for x_star in t.x_star_list:
@@ -283,7 +283,10 @@ def test_eval_into_bit_identical_to_policy_at(locator_table):
     feedback = TableFeedback(t)
     rng = np.random.default_rng(9)
     for q in (pts, rng.permutation(pts), pts[::7], pts):
-        c, pi = _eval_into(feedback, q)
+        c, pi = np.empty_like(q), np.empty_like(q)
+        with np.errstate(invalid="ignore", over="ignore"):
+            V_x = feedback.eval_into(q, c, pi, np.empty_like(q))
+        assert np.array_equal(_bits(V_x), _bits(pchip_vx(t, q)))
         c_ref, pi_ref = policy_at(t, q)
         assert np.array_equal(_bits(c), _bits(c_ref))
         assert np.array_equal(_bits(pi), _bits(pi_ref))
