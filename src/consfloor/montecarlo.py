@@ -53,28 +53,28 @@ negatively correlated, so the standard error is taken over the n/2 pair
 means, (acc_j + acc_{j+n/2}) / 2; a per-path standard error would
 ignore that correlation and overstate the error.
 
-When the policy returns V_x, the Euler scheme subtracts a martingale
-control variate from each path's utility sum, with coefficient 1 (the
-hedge control variate of Clewlow & Carverhill, J. Derivatives 1994;
-Glasserman 2003, ch. 4):
+Both schemes subtract a martingale control variate from each path's
+utility sum, with coefficient 1 (the hedge control variate of Clewlow
+& Carverhill, J. Derivatives 1994; Glasserman 2003, ch. 4):
 
-    sum_i e^{-beta t_i} (1 - e^{-kappa (T - t_i)}) V_x(X_i) sigma pi_i sqrt(dt) Z_i
+    sum_i e^{-beta t_i} J_x(t_i, X_i) sigma pi_i sqrt(dt) Z_i
 
-with Z_i the signed normal of step i, the one that moved the path.
-Under the optimal feedback e^{-beta t} V(X_t) + int_0^t e^{-beta s}
-U(c_s) ds is a martingale whose dW part is e^{-beta t} V_x sigma pi dW,
-so the sum tracks the noise of the utility sum; the weight
-1 - e^{-kappa (T - t)} is the x-derivative of the finite-horizon value
-of the homogeneous policy, relative to V_x.  Every factor in front of
-Z_i is known at t_i and E[Z_i | F_{t_i}] = 0, so each term has mean zero
-whatever V_x and the weight are: the corrected estimator stays exactly
-unbiased for the same finite-horizon quantity, and only its variance
-depends on how well V_x fits.  Absorbed lanes hold pi = 0 and add
-nothing.  The report then carries the corrected estimate and standard
-error, control_variate = True, and the plain utility sum's standard
-error as uncorrected_std_error.  The exact log-normal scheme runs
-without it.  An estimate or standard error that is not finite, as an
-overflowed control variate gives, raises NumericalBlowup.
+with Z_i the signed normal of step i, the one that moved the path.  If
+J is the policy's own value, e^{-beta t} J(t, X_t) + int_0^t e^{-beta s}
+U(c_s) ds is a martingale with dW part e^{-beta t} J_x sigma pi dW, so
+the sum tracks the utility sum's noise.  Under c = c1 x, pi = pi1 x the
+wealth is log-normal and J(t, x) = c1^p x^p / p (1 - e^{-rho (T-t)}) /
+rho with rho = beta - p (a + (p-1) b^2 / 2), equal to kappa for Merton;
+the exact scheme uses this J_x.  The Euler scheme applies Merton's
+factor to the V_x a policy returns, J_x = (1 - e^{-kappa (T-t)}) V_x.
+Every factor before Z_i is known at t_i and E[Z_i | F_{t_i}] = 0, so
+the estimator stays exactly unbiased for the same finite-horizon sum
+whatever J_x is; only its variance depends on the fit.  No control
+variate runs without V_x or with pi1 = 0 (the floor policy); absorbed
+lanes hold pi = 0 and add nothing.  The report carries the corrected
+estimate and standard error, control_variate = True, and the plain
+sum's standard error as uncorrected_std_error.  An estimate or standard
+error that is not finite raises NumericalBlowup.
 
 When an Euler step lands below the sustainable floor x_e, the path is
 clamped to x_e and switched permanently to the floor policy (c_e, 0),
@@ -166,8 +166,10 @@ class SimReport:
     """Estimate of realized lifetime discounted utility under a policy.
 
     control_variate says whether the value-gradient martingale was
-    subtracted (module docstring); uncorrected_std_error is the standard
-    error of the plain utility sum, equal to std_error when it was not.
+    subtracted (module docstring): in exact log-normal runs whenever the
+    policy holds the risky asset (pi1 != 0), in Euler runs when the
+    policy returns V_x.  uncorrected_std_error is the standard error of
+    the plain utility sum, equal to std_error when it was not.
     """
 
     estimate: float
@@ -359,9 +361,8 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
     w_step = -math.expm1(-spec.beta * dt) / spec.beta
     if (isinstance(policy, AffinePolicy) and not policy.clips and policy.c0 == 0.0
             and policy.c1 > 0.0 and policy.c1 >= spec.k and spec.l == 0.0 and x0 > 0.0):
-        acc, floor_violations, max_wealth = _lognormal_steps(
+        acc, mart, floor_violations, max_wealth = _lognormal_steps(
             spec, policy, x0, dt, n_steps, n, normals, w_step)
-        mart = None
     else:
         acc, mart, floor_violations, max_wealth = _euler_steps(
             spec, policy, x0, dt, n_steps, n, normals, w_step)
@@ -401,6 +402,13 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     and a step shifts q by p (a - b^2/2) dt - beta dt plus or minus
     p b sqrt(dt) z.  One max per step bounds ln x for max_wealth and the
     float64 range; NaN fails that comparison too.
+
+    Returns what _euler_steps returns.  The control variate's step term
+    is util_i dq_i (1 - e^{-rho (T - t_i)}) / (rho w_step) with dq_i the
+    signed shift p b sqrt(dt) Z_i of q (module docstring); it is summed
+    per antithetic pair, half the difference of the two paths' terms,
+    and that pair mean is returned for both paths of the pair.  With
+    pi1 = 0 there is no noise to hedge and the control variate is None.
     """
     p, beta = spec.p, spec.beta
     a = spec.r - policy.c1 + spec.mu * policy.pi1
@@ -408,20 +416,36 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     ln_w0 = math.log(w_step * policy.c1**p / p)
     shift = (p * (a - 0.5 * b * b) - beta) * dt
     p_sig_sq_dt = p * b * math.sqrt(dt)
+    # the policy's own value discounts at rho = beta - p (a + (p-1) b^2/2),
+    # written as a sum of terms that kappa > 0 and c1 > 0 make positive;
+    # rho = kappa under Merton
+    rho = ((1.0 - p) * spec.kappa + p * policy.c1
+           + 0.5 * p * (1.0 - p) * (b - spec.sigma * spec.merton_fraction)**2)
 
     h = n // 2
     q = np.full(n, p * math.log(x0) + ln_w0)
     q_pairs = q.reshape(2, h)
     acc = np.zeros(n)
     util = np.empty(n)
+    util_pairs = util.reshape(2, h)
     z = np.empty(h, dtype=np.float32)
     dq = np.empty(h)
+    mart = np.zeros(h) if policy.pi1 != 0.0 else None
+    # util is spent once acc holds it; its first half takes the term
+    term = util_pairs[0]
     ln_max = -math.inf
     for i in range(n_steps):
         np.exp(q, out=util)
         acc += util
         normals.fill(i, z)
         np.multiply(z, p_sig_sq_dt, out=dq)
+        if mart is not None:
+            tau = (n_steps - i) * dt
+            annuity = -math.expm1(-rho * tau) / rho
+            np.subtract(term, util_pairs[1], out=term)
+            term *= dq
+            term *= 0.5 * annuity / w_step
+            mart += term
         q += shift
         q_pairs[0] += dq
         q_pairs[1] -= dq
@@ -430,7 +454,9 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
             raise NumericalBlowup(f"wealth beyond the float64 range at step {i}")
         if ln_hi > ln_max:
             ln_max = ln_hi
-    return acc, 0, max(x0, math.exp(ln_max))
+    if mart is not None:
+        mart = np.concatenate((mart, mart))
+    return acc, mart, 0, max(x0, math.exp(ln_max))
 
 
 def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):

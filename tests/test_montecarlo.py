@@ -101,17 +101,23 @@ def test_seed_changes_estimate(spec_merton):
     assert a.estimate != b.estimate
 
 
-def test_std_error_is_calibrated(spec_merton):
-    """The reported SE matches the spread of estimates across seeds.
+def test_std_error_is_calibrated(spec_merton, spec_homog):
+    """The reported SE matches the spread of estimates across seeds, for
+    the control-variate estimator of Merton and of the proportional
+    floor's optimal policy, at two horizons.
 
-    A per-path SE ignores the negative correlation within each
-    antithetic pair and overstates the spread (about 2.8x here)."""
-    reports = [simulate(spec_merton, merton_feedback(spec_merton),
-                        SimConfig(x0=1.0, dt=1 / 50, horizon=5.0, n_paths=2000, seed=s))
-               for s in range(40)]
-    spread = np.std([r.estimate for r in reports], ddof=1)
-    rms_se = math.sqrt(np.mean([r.std_error**2 for r in reports]))
-    assert 0.7 <= spread / rms_se <= 1.4, (spread, rms_se)
+    A per-path SE would ignore the negative correlation within each
+    antithetic pair and overstate the spread."""
+    for spec, pol in ((spec_merton, merton_feedback(spec_merton)),
+                      (spec_homog, homogeneous_feedback(spec_homog))):
+        for horizon in (5.0, 10.0):
+            reports = [simulate(spec, pol, SimConfig(x0=1.0, dt=1 / 50, horizon=horizon,
+                                                     n_paths=2000, seed=s))
+                       for s in range(40)]
+            assert all(r.control_variate for r in reports)
+            spread = np.std([r.estimate for r in reports], ddof=1)
+            rms_se = math.sqrt(np.mean([r.std_error**2 for r in reports]))
+            assert 0.7 <= spread / rms_se <= 1.4, (pol, horizon, spread, rms_se)
 
 
 @pytest.mark.parametrize("params, x0", [
@@ -149,17 +155,15 @@ def test_lognormal_floor_policy_is_exact(spec_homog):
     assert report.floor_violations == 0
 
 
-def _lognormal_merton_expectation(x0, dt, n_steps):
+def _lognormal_affine_expectation(c1, pi1, x0, dt, n_steps):
     """E of the left-point utility sum under exact log-normal steps of
-    Merton wealth, from the market parameters: E[X_{i+1}^p] = g E[X_i^p]
-    with g = exp(p a dt + p (p-1) b^2 dt / 2)."""
+    the wealth of c = c1 x, pi = pi1 x: E[X_{i+1}^p] = g E[X_i^p] with
+    g = exp(p a dt + p (p-1) b^2 dt / 2), a = r - c1 + mu pi1, b = sigma pi1."""
     r, mu, sigma, beta, p = BASE["r"], BASE["mu"], BASE["sigma"], BASE["beta"], BASE["p"]
-    fraction = mu / (sigma**2 * (1.0 - p))
-    kappa = (beta - p * (mu**2 / (2.0 * sigma**2 * (1.0 - p)) + r)) / (1.0 - p)
-    a, b = r - kappa + mu * fraction, sigma * fraction
+    a, b = r - c1 + mu * pi1, sigma * pi1
     g = math.exp(p * a * dt + p * (p - 1.0) * b * b * dt / 2.0)
     w = -math.expm1(-beta * dt) / beta
-    return math.fsum(math.exp(-beta * i * dt) * w * (kappa * x0)**p / p * g**i
+    return math.fsum(math.exp(-beta * i * dt) * w * (c1 * x0)**p / p * g**i
                      for i in range(n_steps))
 
 
@@ -167,13 +171,61 @@ def test_lognormal_merton_matches_discrete_expectation(spec_merton):
     """Merton wealth takes exact log-normal steps: no Euler bias is left,
     so the estimate lies within 4 SE of the left-point expectation, and
     a 5% offset of it is rejected."""
+    pol = merton_feedback(spec_merton)
     cfg = SimConfig(x0=1.0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=7)
-    report = simulate(spec_merton, merton_feedback(spec_merton), cfg)
-    expected = _lognormal_merton_expectation(1.0, cfg.dt, report.n_steps)
+    report = simulate(spec_merton, pol, cfg)
+    expected = _lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
     assert abs(report.estimate - expected) <= 4.0 * report.std_error, \
         (report.estimate, expected, report.std_error)
     assert abs(report.estimate - 1.05 * expected) > 4.0 * report.std_error
     assert report.floor_violations == 0
+
+
+def test_lognormal_control_variate_keeps_the_plain_sum(spec_merton, spec_homog):
+    """The control variate leaves the log-normal paths and the plain
+    utility sum as they were.  The figures are the standard error,
+    highest wealth, tail bound and clamp count of these runs recorded
+    before the control variate was added (numpy's AVX-512 kernels; see
+    test_table_policy_report_is_reproduced).  The floor policy k x holds
+    no risky asset, so it has no control variate and keeps its report."""
+    cfg = SimConfig(x0=1.0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=7)
+    for spec, pol, plain in (
+            (spec_merton, merton_feedback(spec_merton),
+             (0.01819923984317788, 104.1595362897898, 22.90238971633731, 0)),
+            (spec_homog, homogeneous_feedback(spec_homog),
+             (0.018579780039045358, 45.221549250056086, 14.391567717784818, 0))):
+        report = simulate(spec, pol, cfg)
+        assert report.control_variate is True
+        assert (report.uncorrected_std_error, report.max_wealth, report.tail_bound,
+                report.floor_violations) == plain
+    floor = simulate(spec_homog, floor_feedback(spec_homog), cfg)
+    assert floor.control_variate is False
+    assert (floor.estimate, floor.std_error, floor.max_wealth, floor.tail_bound) == \
+        (4.0780036934622075, 0.0, 1.0, 2.1401065053241752)
+    assert "control_variate" not in floor.to_obj()
+
+
+def test_lognormal_control_variate_weight_is_the_policys_own(spec_homog):
+    """On the proportional floor the optimal policy consumes c1 = k = 0.2
+    above kappa = 0.1075, so its own value discounts at rho = 0.154, and
+    the control variate weights with rho.  The corrected standard error
+    is then at most a tenth of the plain one (13x and 14x here; a weight
+    from kappa gives about 6x).  The estimate lies within 4 SE of the
+    exact left-point expectation, and a 0.5% offset of it is rejected."""
+    pol = homogeneous_feedback(spec_homog)
+    p = spec_homog.p
+    a, b = spec_homog.r - pol.c1 + spec_homog.mu * pol.pi1, spec_homog.sigma * pol.pi1
+    rho = spec_homog.beta - p * (a + 0.5 * (p - 1.0) * b * b)
+    assert rho == pytest.approx(0.154, abs=1e-3) and spec_homog.kappa == pytest.approx(0.1075)
+    for seed in (1, 2):
+        cfg = SimConfig(x0=1.0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=seed)
+        report = simulate(spec_homog, pol, cfg)
+        assert report.std_error <= report.uncorrected_std_error / 10.0, \
+            (report.std_error, report.uncorrected_std_error)
+        expected = _lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
+        assert abs(report.estimate - expected) <= 4.0 * report.std_error, \
+            (report.estimate, expected, report.std_error)
+        assert abs(report.estimate - 1.005 * expected) > 4.0 * report.std_error
 
 
 def test_zero_start_on_homogeneous_spec(spec_merton, spec_homog):
@@ -337,8 +389,9 @@ def test_tail_control_under_horizon_doubling(spec_homog):
     short = simulate(spec_homog, homogeneous_feedback(spec_homog), cfg)
     cfg2 = SimConfig(x0=1.0, dt=1 / 50, horizon=120.0, n_paths=2000, seed=3)
     long = simulate(spec_homog, homogeneous_feedback(spec_homog), cfg2)
-    # the first horizon's steps share the same counters, so the
-    # difference is exactly the added discounted tail utility
+    # the first horizon's steps share the same counters, so the plain
+    # sums differ by the added discounted tail utility; the control
+    # variates' weights depend on the horizon and add a small difference
     assert abs(long.estimate - short.estimate) <= short.tail_bound
 
 
