@@ -20,13 +20,13 @@ Two stepping schemes, chosen from the policy and spec alone:
 The Euler loop evaluates every policy at one call site,
 policy.eval_into(x, c, pi, scratch), which writes consumption and
 holding into the simulator's arrays and returns the policy's V_x at x
-when it knows it, None otherwise.  AffinePolicy (None) and the solved
-table's TableFeedback (its interpolated V_x) have that method, and both
-are admissible by construction (c = max(., k x + l) for the table).  A
-plain callable x -> (c, pi) is wrapped in an adapter that copies its
-values, checks c >= k x + l at every step and returns None.  Absorbed
-lanes (below) are queried at x0 and then set to (c_e, 0), so no policy
-sees wealth x_e.
+when it knows it, None otherwise; a policy that returns V_x also has
+value(x), its V.  AffinePolicy (None) and the solved table's
+TableFeedback (V_x) are admissible by construction (c = max(., k x + l)
+for the table).  A plain callable x -> (c, pi) is wrapped in an adapter
+that copies its values, checks c >= k x + l at every step and returns
+None.  Absorbed lanes (below) are queried at x0 and then set to (c_e,
+0), so no policy sees wealth x_e.
 
 Both accumulate discounted utility with the consumption rate frozen at
 the left endpoint of each step and the discount factor integrated
@@ -53,28 +53,28 @@ negatively correlated, so the standard error is taken over the n/2 pair
 means, (acc_j + acc_{j+n/2}) / 2; a per-path standard error would
 ignore that correlation and overstate the error.
 
-Both schemes subtract a martingale control variate from each path's
-utility sum, with coefficient 1 (the hedge control variate of Clewlow
-& Carverhill, J. Derivatives 1994; Glasserman 2003, ch. 4):
+Each path is scored by the verification sum of the HJB argument for a
+value J(t, x) that the policy supplies,
 
-    sum_i e^{-beta t_i} J_x(t_i, X_i) sigma pi_i sqrt(dt) Z_i
+    sum_i util_i + e^{-beta T} J(T, X_T)
+      - sum_i e^{-beta t_i} J_x(t_i, X_i) pi_i (sigma sqrt(dt) Z_i - I_i),
 
-with Z_i the signed normal of step i, the one that moved the path.  If
-J is the policy's own value, e^{-beta t} J(t, X_t) + int_0^t e^{-beta s}
-U(c_s) ds is a martingale with dW part e^{-beta t} J_x sigma pi dW, so
-the sum tracks the utility sum's noise.  Under c = c1 x, pi = pi1 x the
-wealth is log-normal and J(t, x) = c1^p x^p / p (1 - e^{-rho (T-t)}) /
-rho with rho = beta - p (a + (p-1) b^2 / 2), equal to kappa for Merton;
-the exact scheme uses this J_x.  The Euler scheme applies Merton's
-factor to the V_x a policy returns, J_x = (1 - e^{-kappa (T-t)}) V_x.
-Every factor before Z_i is known at t_i and E[Z_i | F_{t_i}] = 0, so
-the estimator stays exactly unbiased for the same finite-horizon sum
-whatever J_x is; only its variance depends on the fit.  No control
-variate runs without V_x or with pi1 = 0 (the floor policy); absorbed
-lanes hold pi = 0 and add nothing.  The report carries the corrected
-estimate and standard error, control_variate = True, and the plain
-sum's standard error as uncorrected_std_error.  An estimate or standard
-error that is not finite raises NumericalBlowup.
+Z_i the signed normal that moved the path at step i.  The subtracted sum
+is a control variate with coefficient 1 (Clewlow & Carverhill, J.
+Derivatives 1994; Glasserman 2003, ch. 4): its factors are known at t_i
+and its steps have mean zero, so the estimate is unbiased for E[sum util
++ e^{-beta T} J(T, X_T)] whatever J is, and its variance is small when J
+is the policy's own value.  Log-normal runs take the affine policy's
+finite-horizon value, J = c1^p x^p (1 - e^{-rho (T-t)}) / (p rho) with
+rho = beta - p (a + (p-1) b^2 / 2) (kappa for Merton), and I_i = 0; as
+J(T, .) = 0, tail_bound bounds what lies past T.  An Euler policy that
+returns V_x has J = V, its value(x), V(x_e) = v_xe on absorbed lanes and
+tail_bound = 0; I_i = mu dt (Z_i^2 - 1) / 2 is the step's Ito term, as
+pi = -(mu / sigma^2) V_x / V_xx turns V_xx sigma^2 pi^2 dt (Z_i^2 - 1) / 2
+into -V_x pi I_i: noise that antithetic pairs, sharing Z_i^2, keep.
+Other runs have J = 0 and no control variate (no V_x, or pi1 = 0).
+uncorrected_std_error is the plain utility sum's standard error; an
+estimate or standard error that is not finite raises NumericalBlowup.
 
 When an Euler step lands below the sustainable floor x_e, the path is
 clamped to x_e and switched permanently to the floor policy (c_e, 0),
@@ -163,13 +163,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Estimate of realized lifetime discounted utility under a policy.
+    """Estimate of E[sum of discounted utility to T + e^{-beta T} J(T, X_T)]
+    under a policy, J the value it supplies (module docstring).
 
-    control_variate says whether the value-gradient martingale was
-    subtracted (module docstring): in exact log-normal runs whenever the
-    policy holds the risky asset (pi1 != 0), in Euler runs when the
-    policy returns V_x.  uncorrected_std_error is the standard error of
-    the plain utility sum, equal to std_error when it was not.
+    For the solved table J = V, so the estimate is V(x0) up to the Euler
+    bias and tail_bound is 0; otherwise J(T, .) = 0 and tail_bound
+    bounds the utility past T.  control_variate says whether the
+    value-gradient martingale was subtracted: in exact log-normal runs
+    whenever the policy holds the risky asset (pi1 != 0), in Euler runs
+    when the policy returns V_x.  uncorrected_std_error is the standard
+    error of the plain utility sum, equal to std_error when it was not.
     """
 
     estimate: float
@@ -338,7 +341,9 @@ class _Normals:
 
 
 def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
-    """Estimate E int_0^T e^{-beta t} U(c_t) dt under the feedback policy.
+    """Estimate E[int_0^T e^{-beta t} U(c_t) dt + e^{-beta T} J(T, X_T)]
+    under the feedback policy, with J = V for a policy that returns V_x
+    (the solved table) and J(T, .) = 0 otherwise (module docstring).
 
     policy maps a wealth vector to a (consumption, risky holding) pair
     and must be admissible (c >= k x + l) on the reachable range.
@@ -359,13 +364,11 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
     normals = _Normals(cfg.seed)
     # exact in-step discount integral: int_{t_i}^{t_i+dt} e^{-beta s} ds
     w_step = -math.expm1(-spec.beta * dt) / spec.beta
-    if (isinstance(policy, AffinePolicy) and not policy.clips and policy.c0 == 0.0
-            and policy.c1 > 0.0 and policy.c1 >= spec.k and spec.l == 0.0 and x0 > 0.0):
-        acc, mart, floor_violations, max_wealth = _lognormal_steps(
-            spec, policy, x0, dt, n_steps, n, normals, w_step)
-    else:
-        acc, mart, floor_violations, max_wealth = _euler_steps(
-            spec, policy, x0, dt, n_steps, n, normals, w_step)
+    lognormal = (isinstance(policy, AffinePolicy) and not policy.clips and policy.c0 == 0.0
+                 and policy.c1 > 0.0 and policy.c1 >= spec.k and spec.l == 0.0 and x0 > 0.0)
+    steps = _lognormal_steps if lognormal else _euler_steps
+    acc, mart, floor_violations, max_wealth = steps(
+        spec, policy, x0, dt, n_steps, n, normals, w_step)
 
     # an overflowed control variate is reported by the check below
     with np.errstate(invalid="ignore", over="ignore"):
@@ -375,7 +378,10 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
         raise NumericalBlowup(
             f"estimate {estimate!r} with standard error {std_error!r} is not finite"
             + ("" if mart is None else " after subtracting the control variate"))
-    tail_bound = math.exp(-spec.beta * horizon) * homogeneous_coef(spec) * max_wealth**spec.p
+    if mart is not None and not lognormal:
+        tail_bound = 0.0    # e^{-beta T} V(X_T) holds the whole tail
+    else:
+        tail_bound = math.exp(-spec.beta * horizon) * homogeneous_coef(spec) * max_wealth**spec.p
     return SimReport(estimate=estimate, std_error=std_error, tail_bound=tail_bound,
                      floor_violations=floor_violations, n_paths=n, n_steps=n_steps,
                      dt=dt, horizon=horizon, seed=cfg.seed, max_wealth=max_wealth,
@@ -459,15 +465,25 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     return acc, mart, 0, max(x0, math.exp(ln_max))
 
 
+def _off_edge(x, query, absorbed, x0):
+    """x, or a copy in query with the absorbed lanes moved to x0: keeps
+    them off the edge x_e of the policy's domain."""
+    if not absorbed.size:
+        return x
+    np.copyto(query, x)
+    query[absorbed] = x0
+    return query
+
+
 def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     """Euler-Maruyama steps with clamping at x_e; see the module docstring.
 
-    Returns the per-path utility sums, the per-path sums of the control
-    variate's increments (None when the policy returns no V_x), the
-    number of clamped paths and the highest wealth reached.
+    Returns the per-path utility sums; None when the policy returns no
+    V_x, else per path the control variate's increments less the
+    discounted terminal value e^{-beta T} V(X_T) (V(x_e) on absorbed
+    lanes); the number of clamped paths; and the highest wealth reached.
     """
     r, mu, sigma, beta, p = spec.r, spec.mu, spec.sigma, spec.beta, spec.p
-    kappa = spec.kappa
     x_e, c_e = spec.x_e, spec.c_e
     sig_sq_dt = sigma * math.sqrt(dt)
     if not hasattr(policy, "eval_into"):
@@ -491,20 +507,18 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     x_pairs = x.reshape(2, h)
     diff_pairs = diff.reshape(2, h)
     scratch_pairs = scratch.reshape(2, h)
-    pair_weight = np.empty((2, 1))
+    # the hedge's work: the step's normals in float64 (a float32 operand
+    # costs a cast in every ufunc) and its per-lane coefficient
+    z64 = np.empty(h)
+    coef = np.empty(n)
+    plus, minus = coef.reshape(2, h)
     floor_violations = 0
     max_wealth = float(x0)
 
     # non-finite values are detected by the state check below, not warned
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(n_steps):
-            wealth = x
-            if absorbed.size:
-                # keep absorbed lanes off the policy's domain
-                np.copyto(query, x)
-                query[absorbed] = x0
-                wealth = query
-            V_x = policy.eval_into(wealth, c, pi, scratch)
+            V_x = policy.eval_into(_off_edge(x, query, absorbed, x0), c, pi, scratch)
             if absorbed.size:
                 c[absorbed] = c_e
                 pi[absorbed] = 0.0
@@ -528,15 +542,21 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
             x_pairs[0] += diff_pairs[0]
             x_pairs[1] -= diff_pairs[1]
             if V_x is not None:
-                # e^{-beta t_i} (1 - e^{-kappa (T - t_i)}) V_x(X_i) sigma pi_i sqrt(dt) Z_i,
+                # e^{-beta t_i} V_x(X_i) pi_i (sigma sqrt(dt) Z_i - mu dt (Z_i^2 - 1) / 2),
                 # with Z_i's sign per half of each pair, as in the wealth step
                 if mart is None:
                     mart = np.zeros(n)
-                weight = math.exp(-beta * i * dt) * -math.expm1(-kappa * (n_steps - i) * dt)
-                pair_weight[0] = weight
-                pair_weight[1] = -weight
-                np.multiply(V_x, diff, out=scratch)
-                scratch_pairs *= pair_weight
+                disc = math.exp(-beta * i * dt)
+                np.copyto(z64, z)
+                ito = scratch_pairs[0]
+                np.multiply(z64, z64, out=ito)
+                ito -= 1.0
+                ito *= -0.5 * mu * dt * disc
+                np.multiply(z64, disc * sig_sq_dt, out=minus)
+                np.add(ito, minus, out=plus)
+                np.subtract(ito, minus, out=minus)
+                np.multiply(V_x, pi, out=scratch)
+                scratch *= coef
                 mart += scratch
 
             lo = float(x.min())
@@ -553,6 +573,11 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
             # clamping lifts wealth only to x_e <= max_wealth
             if hi > max_wealth:
                 max_wealth = hi
+        if mart is not None:
+            terminal = policy.value(_off_edge(x, query, absorbed, x0))
+            terminal[absorbed] = spec.v_xe
+            terminal *= math.exp(-beta * n_steps * dt)
+            mart -= terminal
     return acc, mart, floor_violations, max_wealth
 
 
@@ -571,10 +596,12 @@ def compare_to_value(report: SimReport, value: float,
                      discretization_allowance: float = 0.0) -> ValueVerdict:
     """Pass iff |estimate - value| <= 3 SE + tail bound + allowance.
 
-    The allowance covers the time-stepping bias of either scheme, which
-    vanishes as dt -> 0: the left-point utility rule under exact
-    log-normal steps, plus the wealth-step bias under Euler steps.
-    Measure it with a dt-halving run when it matters.
+    The tail bound is 0 for a solved-table run, whose estimate already
+    holds e^{-beta T} V(X_T).  The allowance covers the time-stepping
+    bias of either scheme, which vanishes as dt -> 0: the left-point
+    utility rule under exact log-normal steps, plus the wealth-step bias
+    under Euler steps.  Measure it with a dt-halving run when it
+    matters.
     """
     tol = 3.0 * report.std_error + report.tail_bound + discretization_allowance
     gap = abs(report.estimate - value)

@@ -100,14 +100,11 @@ class PolicyTable:
         if not (lo >= self.x[0] and hi <= self.x[-1]):
             raise _out_of_range(lo, hi, self.x)
 
-    def floor_binds(self, x, out=None) -> np.ndarray:
+    def floor_binds(self, x) -> np.ndarray:
         """True where x lies in a constrained interval (boundaries from
-        the refined x_star values, not the nodal flags); written into
-        out when given."""
+        the refined x_star values, not the nodal flags)."""
         x = np.asarray(x, dtype=float)
-        if out is None:
-            out = np.empty(np.shape(x), dtype=bool)
-        out.fill(self.region[0] == REGION_CONSTRAINED)
+        out = np.full(np.shape(x), self.region[0] == REGION_CONSTRAINED)
         for x_star in self.x_star_list:
             out ^= x > x_star
         return out
@@ -268,13 +265,14 @@ def value_at(table: PolicyTable, x):
 class TableFeedback:
     """The table's feedback law (c, pi) as a simulator policy.
 
-    Calling it is policy_at(table, x).  eval_into(x, c, pi, scratch)
-    writes (c, pi) at a 1-d float64 x into c and pi, returns V_x at x,
-    and uses scratch and arrays of its own as work space; those are kept
-    between calls and reallocated when len(x) changes, so an instance
-    serves one caller at a time.  Run it with invalid-value warnings off
-    (as policy_at and the simulator do): the floor mask multiplies an
-    overflowed candidate by zero.
+    Calling it is policy_at(table, x), and value(x) is value_at(table,
+    x), the V the simulator scores its runs against.  eval_into(x, c,
+    pi, scratch) writes (c, pi) at a 1-d float64 x into c and pi,
+    returns V_x at x, and uses scratch and arrays of its own as work
+    space; those are kept between calls and reallocated when len(x)
+    changes, so an instance serves one caller at a time.  Run it with
+    invalid-value warnings off (as policy_at and the simulator do): the
+    floor mask multiplies an overflowed candidate by zero.
     """
 
     def __init__(self, table: PolicyTable):
@@ -326,7 +324,12 @@ class TableFeedback:
         # max(V_x^(1/(p-1)), floor): the candidate is zeroed on binding
         # lanes, and fmax drops the NaN that zero times inf gives
         candidate = np.power(V_x, 1.0 / (spec.p - 1.0), out=dx)
-        np.logical_not(table.floor_binds(x, out=slack), out=slack)
+        # slack = not floor_binds: the first region's "U" flag, flipped at
+        # each crossing below x
+        slack.fill(table.region[0] != REGION_CONSTRAINED)
+        for x_star in table.x_star_list:
+            np.greater(x, x_star, out=step)
+            slack ^= step
         candidate *= slack
         np.multiply(x, spec.k, out=c)
         c += spec.l
@@ -334,6 +337,10 @@ class TableFeedback:
         np.multiply(x, -(spec.mu / spec.sigma**2), out=pi)
         pi /= slope
         return V_x
+
+    def value(self, x):
+        """V at x: value_at(table, x)."""
+        return value_at(self.table, x)
 
 
 def policy_at(table: PolicyTable, x):

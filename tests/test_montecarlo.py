@@ -19,7 +19,9 @@ from consfloor import (
     simulate,
     solve_dual,
     table_feedback,
+    value_at,
 )
+from consfloor.dual_solver import default_config
 from consfloor.errors import (
     InfeasibleWealth,
     NumericalBlowup,
@@ -257,9 +259,17 @@ def test_negative_control_offset_value(spec_merton):
 
 
 def test_homogeneous_attainment(spec_homog):
+    """The estimate lies within 3 SE of the exact left-point expectation,
+    and V passes with the gap between the two as the allowance for the
+    left-point rule's bias."""
+    pol = homogeneous_feedback(spec_homog)
     cfg = SimConfig(x0=1.0, dt=1 / 100, horizon=150.0, n_paths=30_000, seed=17)
-    report = simulate(spec_homog, homogeneous_feedback(spec_homog), cfg)
-    verdict = compare_to_value(report, homogeneous_value(spec_homog, 1.0))
+    report = simulate(spec_homog, pol, cfg)
+    expected = _lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
+    assert abs(report.estimate - expected) <= 3.0 * report.std_error, \
+        (report.estimate, expected, report.std_error)
+    value = homogeneous_value(spec_homog, 1.0)
+    verdict = compare_to_value(report, value, discretization_allowance=abs(value - expected))
     assert verdict.passed, (verdict.gap, verdict.tolerance)
 
 
@@ -278,7 +288,6 @@ def test_suboptimal_floor_policy_falls_short(spec_nh, nh_table):
     x0 = 400.0
     cfg = SimConfig(x0=x0, dt=1 / 50, horizon=150.0, n_paths=8000, seed=13)
     report = simulate(spec_nh, floor_feedback(spec_nh), cfg)
-    from consfloor import value_at
     v_solver = value_at(nh_table, x0)
     assert report.estimate < v_solver - 3.0 * report.std_error
 
@@ -292,7 +301,8 @@ def test_table_policy_runs_admissibly(spec_nh, nh_table):
 
 class _PchipFeedback:
     """The table's feedback evaluated by scipy's PchipInterpolator, on the
-    simulator's eval_into protocol: writes (c, pi) and returns V_x."""
+    simulator's eval_into protocol: writes (c, pi), returns V_x, and
+    has value(x), the PCHIP of V."""
 
     def __init__(self, table):
         self.table = table
@@ -303,20 +313,23 @@ class _PchipFeedback:
         np.copyto(pi, pi_ref)
         return pchip_vx(self.table, x)
 
+    def value(self, x):
+        return pchip_policy(self.table, x)[0]
+
 
 def test_table_policy_report_is_reproduced(spec_nh, nh_table):
-    """The table policy's report, control variate included, equals bit
-    for bit the same simulation driven by scipy's PCHIP evaluation.  The
-    recorded figures come from that evaluation with numpy's AVX-512
-    kernels; numpy's AVX2 kernels round log, exp and power differently in
-    the last bit, which moves the floats by about 1e-12 (relative) after
-    500 steps."""
+    """The table policy's report, control variate and terminal value
+    included, equals bit for bit the same simulation driven by scipy's
+    PCHIP evaluation.  The recorded figures come from that evaluation
+    with numpy's AVX-512 kernels; numpy's AVX2 kernels round log, exp and
+    power differently in the last bit, which moves the floats by about
+    1e-12 (relative) after 500 steps."""
     cfg = SimConfig(x0=150.0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=2026)
     report = simulate(spec_nh, table_feedback(nh_table), cfg)
     assert report == simulate(spec_nh, _PchipFeedback(nh_table), cfg)
     recorded = SimReport(
-        estimate=37.119804255097236, std_error=0.015406024812351888,
-        tail_bound=262.82973275222236, floor_violations=0, n_paths=2000, n_steps=500,
+        estimate=59.43042950600732, std_error=0.0008157551937651229,
+        tail_bound=0.0, floor_violations=0, n_paths=2000, n_steps=500,
         dt=0.02, horizon=10.0, seed=2026, max_wealth=13717.861812164527,
         control_variate=True, uncorrected_std_error=0.19694254305303094)
     assert report.to_obj() == pytest.approx(recorded.to_obj(), rel=1e-9, abs=0)
@@ -324,20 +337,74 @@ def test_table_policy_report_is_reproduced(spec_nh, nh_table):
 
 @pytest.mark.parametrize("x0", [105.0, 150.0, 300.0])
 def test_control_variate_keeps_paths_and_cuts_error(spec_nh, nh_table, x0):
-    """The table's V_x drives the control variate; the same policy as a
-    plain callable runs without it.  Both runs take the same paths, the
-    estimates agree within 4 plain standard errors, and the corrected
-    standard error is at most a fifth of the plain one."""
+    """The table's V_x and V drive the control variate and the terminal
+    value; the same policy as a plain callable runs without them.  Both
+    runs take the same paths.  The corrected estimate adds e^{-beta T}
+    V(X_T) to the plain one, so it lies above it, and below V(x0) up to
+    3 SE (the Euler bias pulls it down); nothing is left out, so its
+    tail bound is 0.  Its standard error is at most a fifth of the
+    plain one."""
     for seed in (3, 4):
         cfg = SimConfig(x0=x0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=seed)
         cv = simulate(spec_nh, table_feedback(nh_table), cfg)
         plain = simulate(spec_nh, lambda x: policy_at(nh_table, x), cfg)
         assert cv.control_variate and not plain.control_variate
-        assert (cv.floor_violations, cv.max_wealth, cv.tail_bound) == \
-            (plain.floor_violations, plain.max_wealth, plain.tail_bound)
+        assert (cv.floor_violations, cv.max_wealth) == (plain.floor_violations, plain.max_wealth)
+        assert cv.tail_bound == 0.0
         assert cv.uncorrected_std_error == plain.std_error == plain.uncorrected_std_error
-        assert abs(cv.estimate - plain.estimate) <= 4.0 * plain.std_error
+        assert plain.estimate < cv.estimate <= value_at(nh_table, x0) + 3.0 * cv.std_error
         assert cv.std_error <= plain.std_error / 5.0, (cv.std_error, plain.std_error)
+
+
+def _floor_policy_score(spec, table, x0, dt, n_steps):
+    """The verification sum of the floor policy (k x + l, 0), whose Euler
+    path is deterministic: the left-point utility sum plus e^{-beta T}
+    V(X_T) from the table."""
+    w = -math.expm1(-spec.beta * dt) / spec.beta
+    x, total = x0, 0.0
+    for i in range(n_steps):
+        c = spec.k * x + spec.l
+        total += math.exp(-spec.beta * i * dt) * w * c**spec.p / spec.p
+        x += (spec.r * x - c) * dt
+    return total + math.exp(-spec.beta * n_steps * dt) * value_at(table, x)
+
+
+@pytest.mark.parametrize("params, x0", [
+    (dict(k=0.02), 105.0),
+    (dict(k=0.02), 150.0),
+    (dict(beta=0.06, k=0.015), 70.0),
+    (dict(beta=0.06, k=0.015), 100.0),
+    (dict(beta=0.048, k=0.015), 70.0),
+    (dict(beta=0.048, k=0.015), 100.0),
+], ids=["kappa>=r-105", "kappa>=r-150", "k<kappa<r-70", "k<kappa<r-100",
+        "kappa<k-70", "kappa<k-100"])
+def test_table_policy_attains_v(params, x0):
+    """The paper's main theorem: on a floor with k > 0 and l > 0 the
+    feedback built from V attains V.  Under it the verification sum,
+    utility plus e^{-beta T} V(X_T) less the hedge, has mean V(x0) up to
+    the Euler bias, which is first order in dt, so the Richardson
+    estimate 2 est(dt/2) - est(dt) lies within 3 of its standard errors
+    of V(x0); a 1% offset of V is rejected, and the floor policy's sum
+    falls short of V.  At dt = 1/100 the hedge cuts the standard error
+    at least 10x (26-515x here; without its Ito term 0.8-20x).  For
+    kappa < k the floor binds at every node.  Both k = 0.015 floors have
+    x_e = 66.7, so x0 = 70 and 100 are 1.05 x_e and 1.5 x_e."""
+    spec = make_spec(**dict(BASE, l=1.0, **params))
+    table = invert(spec, solve_dual(spec, default_config(spec, span=1e3)))
+    if spec.kappa < spec.k:
+        assert np.array_equal(table.c_star, spec.k * table.x + spec.l)
+    coarse, fine = (simulate(spec, table_feedback(table),
+                             SimConfig(x0=x0, dt=dt, horizon=10.0, n_paths=10_000, seed=seed))
+                    for dt, seed in ((1 / 50, 1), (1 / 100, 2)))
+    assert coarse.tail_bound == fine.tail_bound == 0.0
+    assert fine.std_error <= fine.uncorrected_std_error / 10.0
+    richardson = 2.0 * fine.estimate - coarse.estimate
+    se = math.sqrt(4.0 * fine.std_error**2 + coarse.std_error**2)
+    value = value_at(table, x0)
+    assert abs(richardson - value) <= 3.0 * se, (richardson, value, se)
+    assert abs(richardson - 1.01 * value) > 3.0 * se
+    floor_score = _floor_policy_score(spec, table, x0, 1 / 100, fine.n_steps)
+    assert floor_score < value - 3.0 * se, (floor_score, value, se)
 
 
 @pytest.mark.parametrize("x0", [105.0, 150.0])
