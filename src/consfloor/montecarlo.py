@@ -19,11 +19,12 @@ Two stepping schemes, chosen from the policy and spec alone:
 
 The Euler loop evaluates every policy at one call site,
 policy.eval_into(x, c, pi, scratch), which writes consumption and
-holding into the simulator's arrays and returns the policy's V_x at x
-when it knows it, None otherwise; a policy that returns V_x also has
-value(x), its V.  AffinePolicy (None) and the solved table's
-TableFeedback (V_x) are admissible by construction (c = max(., k x + l)
-for the table).  A plain callable x -> (c, pi) is wrapped in an adapter
+holding into the simulator's arrays and returns the policy's V_x at x,
+with the first two derivatives of ln V_x in ln x, when it knows them,
+None otherwise; a policy that returns them also has value(x), its V.
+AffinePolicy (None) and the solved table's TableFeedback (V_x and
+derivatives) are admissible by construction (c = max(., k x + l) for
+the table).  A plain callable x -> (c, pi) is wrapped in an adapter
 that copies its values, checks c >= k x + l at every step and returns
 None.  Absorbed lanes (below) are queried at x0 and then set to (c_e,
 0), so no policy sees wealth x_e.
@@ -56,23 +57,42 @@ ignore that correlation and overstate the error.
 Each path is scored by the verification sum of the HJB argument for a
 value J(t, x) that the policy supplies,
 
-    sum_i util_i + e^{-beta T} J(T, X_T)
-      - sum_i e^{-beta t_i} J_x(t_i, X_i) pi_i (sigma sqrt(dt) Z_i - I_i),
+    sum_i util_i + e^{-beta T} J(T, X_T) - sum_i H_i,
 
-Z_i the signed normal that moved the path at step i.  The subtracted sum
-is a control variate with coefficient 1 (Clewlow & Carverhill, J.
-Derivatives 1994; Glasserman 2003, ch. 4): its factors are known at t_i
-and its steps have mean zero, so the estimate is unbiased for E[sum util
-+ e^{-beta T} J(T, X_T)] whatever J is, and its variance is small when J
-is the policy's own value.  Log-normal runs take the affine policy's
+where the hedge H_i is a polynomial in Z_i, the signed normal that
+moved the path at step i, with factors known at t_i.  The subtracted
+sum is a control variate with coefficient 1 (Clewlow & Carverhill, J.
+Derivatives 1994; Glasserman 2003, ch. 4): the powers of Z_i it holds,
+Z_i, Z_i^2 - 1 and Z_i^3, have mean zero, so the estimate is unbiased
+for E[sum util + e^{-beta T} J(T, X_T)] whatever J is, and its variance
+is small when J is the policy's own value and H_i follows the step's
+noise in e^{-beta t} J(t, X).  Log-normal runs take the affine policy's
 finite-horizon value, J = c1^p x^p (1 - e^{-rho (T-t)}) / (p rho) with
-rho = beta - p (a + (p-1) b^2 / 2) (kappa for Merton), and I_i = 0; as
-J(T, .) = 0, tail_bound bounds what lies past T.  An Euler policy that
-returns V_x has J = V, its value(x), V(x_e) = v_xe on absorbed lanes and
-tail_bound = 0; I_i = mu dt (Z_i^2 - 1) / 2 is the step's Ito term, as
-pi = -(mu / sigma^2) V_x / V_xx turns V_xx sigma^2 pi^2 dt (Z_i^2 - 1) / 2
-into -V_x pi I_i: noise that antithetic pairs, sharing Z_i^2, keep.
-Other runs have J = 0 and no control variate (no V_x, or pi1 = 0).
+rho = beta - p (a + (p-1) b^2 / 2) (kappa for Merton), and
+H_i = e^{-beta t_i} J_x(t_i, X_i) pi_i sigma sqrt(dt) Z_i; as
+J(T, .) = 0, tail_bound bounds what lies past T.
+
+An Euler policy that returns V_x has J = V, its value(x), V(x_e) = v_xe
+on absorbed lanes and tail_bound = 0.  Its hedge is the Ito-Taylor
+expansion of V(X_{i+1}) - V(X_i) along the Euler step
+X_{i+1} - X_i = D_i dt + sigma pi_i sqrt(dt) Z_i, D_i = r X_i - c_i +
+mu pi_i, to every term of order dt^{3/2} (Kloeden & Platen 1992, ch. 5),
+discounted at the step's end:
+
+    H_i = e^{-beta t_{i+1}} [V_x pi_i (sigma sqrt(dt) Z_i - mu dt (Z_i^2 - 1) / 2)
+          + V_xx sigma pi_i D_i dt^{3/2} Z_i + V_xxx (sigma pi_i)^3 dt^{3/2} Z_i^3 / 6],
+
+V and its derivatives at X_i.  The paper's main result makes V three
+times continuously differentiable, so these terms exist, and the
+feedback pi = -(mu / sigma^2) V_x / V_xx puts them in terms of what the
+policy returns with V_x: L1 and L2, the first two derivatives of ln V_x
+in ln x.  It turns V_xx sigma^2 pi^2 dt (Z_i^2 - 1) / 2 into the Ito
+term above (noise that antithetic pairs, sharing Z_i^2, keep), the
+V_xx term into -(mu / sigma) sqrt(dt) V_x D_i dt Z_i, and the V_xxx
+term into mu^2 dt^{3/2} V_x pi_i A_i Z_i^3 / (6 sigma) with
+A_i = 1 - 1/L1 + L2/L1^2.  What is left is of order dt^2 per step.  On
+absorbed lanes pi = 0 and D_i is taken as 0, so H_i = 0 there.  Other
+runs have J = 0 and no control variate (no V_x, or pi1 = 0).
 uncorrected_std_error is the plain utility sum's standard error; an
 estimate or standard error that is not finite raises NumericalBlowup.
 
@@ -169,10 +189,11 @@ class SimReport:
     For the solved table J = V, so the estimate is V(x0) up to the Euler
     bias and tail_bound is 0; otherwise J(T, .) = 0 and tail_bound
     bounds the utility past T.  control_variate says whether the
-    value-gradient martingale was subtracted: in exact log-normal runs
-    whenever the policy holds the risky asset (pi1 != 0), in Euler runs
-    when the policy returns V_x.  uncorrected_std_error is the standard
-    error of the plain utility sum, equal to std_error when it was not.
+    martingale hedge was subtracted: in exact log-normal runs whenever
+    the policy holds the risky asset (pi1 != 0), in Euler runs when the
+    policy returns V_x, where the hedge takes the Ito-Taylor terms of V
+    up to order dt^{3/2}.  uncorrected_std_error is the standard error
+    of the plain utility sum, equal to std_error when it was not.
     """
 
     estimate: float
@@ -444,7 +465,7 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
         np.exp(q, out=util)
         acc += util
         normals.fill(i, z)
-        np.multiply(z, p_sig_sq_dt, out=dq)
+        np.multiply(z, p_sig_sq_dt, out=dq, dtype=np.float64)
         if mart is not None:
             tau = (n_steps - i) * dt
             annuity = -math.expm1(-rho * tau) / rho
@@ -479,13 +500,17 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     """Euler-Maruyama steps with clamping at x_e; see the module docstring.
 
     Returns the per-path utility sums; None when the policy returns no
-    V_x, else per path the control variate's increments less the
-    discounted terminal value e^{-beta T} V(X_T) (V(x_e) on absorbed
+    V_x, else per path the sum of the hedges H_i (module docstring) less
+    the discounted terminal value e^{-beta T} V(X_T) (V(x_e) on absorbed
     lanes); the number of clamped paths; and the highest wealth reached.
     """
     r, mu, sigma, beta, p = spec.r, spec.mu, spec.sigma, spec.beta, spec.p
     x_e, c_e = spec.x_e, spec.c_e
     sig_sq_dt = sigma * math.sqrt(dt)
+    # undiscounted weights of the hedge's Z^2 - 1, Z^3 and drift terms
+    ito_w = -0.5 * mu * dt
+    cube_w = mu * mu * dt * math.sqrt(dt) / (6.0 * sigma)
+    drift_w = -(mu / sigma) * math.sqrt(dt)
     if not hasattr(policy, "eval_into"):
         policy = _CheckedPolicy(policy, spec.k, spec.l)
 
@@ -496,6 +521,9 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     absorbed = np.empty(0, dtype=np.intp)
     h = n // 2
     z = np.empty(h, dtype=np.float32)
+    # the step's normals in float64: a float32 operand costs a cast in
+    # every ufunc
+    z64 = np.empty(h)
     c = np.empty(n)
     pi = np.empty(n)
     util = np.empty(n)
@@ -505,20 +533,23 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     below = np.empty(n, dtype=bool)
     # rows are the two halves of each antithetic pair
     x_pairs = x.reshape(2, h)
+    drift_pairs = drift.reshape(2, h)
     diff_pairs = diff.reshape(2, h)
-    scratch_pairs = scratch.reshape(2, h)
-    # the hedge's work: the step's normals in float64 (a float32 operand
-    # costs a cast in every ufunc) and its per-lane coefficient
-    z64 = np.empty(h)
+    # the hedge's work: polynomials of Z on half lanes (in diff, which the
+    # wealth step is done with), its coefficient on the plus and minus
+    # sides of each pair, and its per-lane term (in util)
+    ito, cube = diff_pairs
     coef = np.empty(n)
     plus, minus = coef.reshape(2, h)
+    term = util
+    term_pairs = util.reshape(2, h)
     floor_violations = 0
     max_wealth = float(x0)
 
     # non-finite values are detected by the state check below, not warned
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(n_steps):
-            V_x = policy.eval_into(_off_edge(x, query, absorbed, x0), c, pi, scratch)
+            grad = policy.eval_into(_off_edge(x, query, absorbed, x0), c, pi, scratch)
             if absorbed.size:
                 c[absorbed] = c_e
                 pi[absorbed] = 0.0
@@ -531,33 +562,51 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
             acc += util
 
             normals.fill(i, z)
+            np.copyto(z64, z)
             np.multiply(x, r, out=drift)
             drift -= c
             np.multiply(pi, mu, out=scratch)
             drift += scratch
             drift *= dt
             np.multiply(pi, sig_sq_dt, out=diff)
-            diff_pairs *= z
+            diff_pairs *= z64
             x += drift
             x_pairs[0] += diff_pairs[0]
             x_pairs[1] -= diff_pairs[1]
-            if V_x is not None:
-                # e^{-beta t_i} V_x(X_i) pi_i (sigma sqrt(dt) Z_i - mu dt (Z_i^2 - 1) / 2),
-                # with Z_i's sign per half of each pair, as in the wealth step
+            if grad is not None:
+                # H_i = e^{-beta t_{i+1}} V_x (pi (sigma sqrt(dt) Z - mu dt (Z^2 - 1) / 2
+                # + mu^2 dt^{3/2} A Z^3 / (6 sigma)) - (mu / sigma) sqrt(dt) D dt Z),
+                # A = 1 + (L2 - L1) / L1^2, with Z's sign per half of each
+                # pair, as in the wealth step
+                V_x, slope, curv = grad
                 if mart is None:
                     mart = np.zeros(n)
-                disc = math.exp(-beta * i * dt)
-                np.copyto(z64, z)
-                ito = scratch_pairs[0]
+                disc = math.exp(-beta * (i + 1) * dt)
                 np.multiply(z64, z64, out=ito)
+                np.multiply(ito, z64, out=cube)
+                cube *= cube_w * disc
                 ito -= 1.0
-                ito *= -0.5 * mu * dt * disc
+                ito *= ito_w * disc
                 np.multiply(z64, disc * sig_sq_dt, out=minus)
+                minus += cube
                 np.add(ito, minus, out=plus)
                 np.subtract(ito, minus, out=minus)
-                np.multiply(V_x, pi, out=scratch)
-                scratch *= coef
-                mart += scratch
+                np.subtract(curv, slope, out=term)
+                np.multiply(slope, slope, out=scratch)
+                term /= scratch
+                term_pairs *= cube
+                np.add(plus, term_pairs[0], out=term_pairs[0])
+                np.subtract(minus, term_pairs[1], out=term_pairs[1])
+                term *= pi
+                # D dt is the step's drift, taken as 0 on absorbed lanes
+                if absorbed.size:
+                    drift[absorbed] = 0.0
+                z64 *= drift_w * disc
+                drift_pairs *= z64
+                term_pairs[0] += drift_pairs[0]
+                term_pairs[1] -= drift_pairs[1]
+                term *= V_x
+                mart += term
 
             lo = float(x.min())
             hi = float(x.max())

@@ -30,13 +30,15 @@ np.searchsorted(ln x_nodes, ln x, "right") - 1 would pick.
 
 The feedback has one evaluation path, TableFeedback.eval_into(x, c, pi,
 scratch), which writes (c, pi) into caller arrays, returns the
-interpolated V_x it computes on the way (the simulator's control
-variate uses it), and keeps its work arrays between calls: the
-simulator calls it once per step.  policy_at is an allocating wrapper
-around it.  Each query gathers its piece's four coefficients of ln V_x
-in one take; the slope rows a1, 2 a2, 3 a3 come from those (the
-products by 2 and 3 round as they would on the differentiated rows),
-and binding lanes get the floor through a mask rather than a branch.
+interpolated V_x and the first two derivatives of ln V_x in ln x it
+computes on the way (the simulator's control variate uses them), and
+keeps its work arrays between calls: the simulator calls it once per
+step.  policy_at is an allocating wrapper around it.  Each query
+gathers its piece's four coefficients of ln V_x in one take; the
+derivative rows a1, 2 a2, 3 a3 and 2 a2, 6 a3 come from those (the
+products by 2, 3 and 6 round as they would on the differentiated
+rows), and binding lanes get the floor through a mask rather than a
+branch.
 """
 
 from __future__ import annotations
@@ -170,7 +172,8 @@ class _Pieces:
         # onto the next knot, hence no - 1 on the upper end
         upper = np.minimum(np.searchsorted(f, edges + 1.0 + _BUCKET_SLACK, "left"), self.last)
         self.n_steps = int(np.max(upper - self.start))
-        self.next_knot = np.append(s[1:], np.inf)  # i stops at the last node
+        # i stops at the last piece
+        self.next_knot = np.append(s[1:-1], np.inf)
 
     def locate_into(self, x, s, i, dx, work, index, step):
         """Piece index i and offset dx = s - knots[i] for in-range 1-d x,
@@ -188,7 +191,6 @@ class _Pieces:
             np.take(self.next_knot, i, out=work, mode="clip")
             np.less_equal(work, s, out=step)
             i += step
-        np.minimum(i, self.last, out=i)
         np.take(self.knots, i, out=dx, mode="clip")
         np.subtract(s, dx, out=dx)
 
@@ -268,11 +270,13 @@ class TableFeedback:
     Calling it is policy_at(table, x), and value(x) is value_at(table,
     x), the V the simulator scores its runs against.  eval_into(x, c,
     pi, scratch) writes (c, pi) at a 1-d float64 x into c and pi,
-    returns V_x at x, and uses scratch and arrays of its own as work
-    space; those are kept between calls and reallocated when len(x)
-    changes, so an instance serves one caller at a time.  Run it with
-    invalid-value warnings off (as policy_at and the simulator do): the
-    floor mask multiplies an overflowed candidate by zero.
+    returns V_x and the first and second derivatives of ln V_x in ln x
+    at x, which the simulator's hedge takes, and uses scratch and
+    arrays of its own as work space; those are kept between calls and
+    reallocated when len(x) changes, so an instance serves one caller
+    at a time.  Run it with invalid-value warnings off (as policy_at and
+    the simulator do): the floor mask multiplies an overflowed candidate
+    by zero.
     """
 
     def __init__(self, table: PolicyTable):
@@ -283,9 +287,11 @@ class TableFeedback:
         return policy_at(self.table, x)
 
     def eval_into(self, x, c, pi, scratch):
-        """Write (c, pi) at x into c and pi and return V_x at x: exp of
-        the interpolated ln V_x (scipy's PCHIP value, bit for bit), in a
-        work array of the evaluator's that the next call overwrites."""
+        """Write (c, pi) at x into c and pi and return (V_x, L1, L2) at
+        x: V_x is exp of the interpolated ln V_x, and L1 and L2 are its
+        first and second derivatives in ln x (scipy's PCHIP value and
+        derivatives, bit for bit), in work arrays of the evaluator's that
+        the next call overwrites."""
         table = self.table
         spec = table.spec
         table._check_range(x)
@@ -294,11 +300,11 @@ class TableFeedback:
         if n != self._n:
             self._n = n
             self._rows = np.empty((n, 4))
-            self._work = np.empty((4, n))
+            self._work = np.empty((5, n))
             self._index = np.empty((2, n), dtype=np.intp)
             self._mask = np.empty((2, n), dtype=bool)
         rows = self._rows
-        s, dx, dx2, V_x = self._work
+        s, dx, dx2, V_x, curv = self._work
         index, i = self._index
         step, slack = self._mask
 
@@ -309,16 +315,20 @@ class TableFeedback:
         np.multiply(dx, dx, out=dx2)
         _cubic_into(rows, dx, dx2, pi, c)
         np.exp(pi, out=V_x)
-        # d ln V_x / d ln x from the same row, a1 + (2 a2) dx + (3 a3) dx^2:
-        # the products by 2 and 3 round as on the differentiated rows
-        slope = np.multiply(a2, 2.0, out=s)
-        slope *= dx
+        # derivatives in ln x from the same row, L1 = a1 + (2 a2) dx + (3 a3) dx^2
+        # and L2 = 2 a2 + (6 a3) dx: the products by 2, 3 and 6 round as
+        # on the differentiated rows
+        np.multiply(a2, 2.0, out=curv)
+        slope = np.multiply(curv, dx, out=s)
         slope += a1
         np.multiply(a3, 3.0, out=scratch)
         scratch *= dx2
         slope += scratch
         if slope.max(initial=-math.inf) >= 0.0:
             raise ConvexityLoss("interpolated V_x not strictly decreasing")
+        np.multiply(a3, 6.0, out=scratch)
+        scratch *= dx
+        curv += scratch
 
         # c = floor where the refined boundaries say it binds, else
         # max(V_x^(1/(p-1)), floor): the candidate is zeroed on binding
@@ -326,17 +336,22 @@ class TableFeedback:
         candidate = np.power(V_x, 1.0 / (spec.p - 1.0), out=dx)
         # slack = not floor_binds: the first region's "U" flag, flipped at
         # each crossing below x
-        slack.fill(table.region[0] != REGION_CONSTRAINED)
-        for x_star in table.x_star_list:
-            np.greater(x, x_star, out=step)
-            slack ^= step
+        crossings = table.x_star_list
+        if crossings:
+            first = np.greater if table.region[0] == REGION_CONSTRAINED else np.less_equal
+            first(x, crossings[0], out=slack)
+            for x_star in crossings[1:]:
+                np.greater(x, x_star, out=step)
+                slack ^= step
+        else:
+            slack.fill(table.region[0] != REGION_CONSTRAINED)
         candidate *= slack
         np.multiply(x, spec.k, out=c)
         c += spec.l
         np.fmax(candidate, c, out=c)
         np.multiply(x, -(spec.mu / spec.sigma**2), out=pi)
         pi /= slope
-        return V_x
+        return V_x, slope, curv
 
     def value(self, x):
         """V at x: value_at(table, x)."""

@@ -5,8 +5,9 @@ significant digits, deliberately avoiding the package's own code paths:
 roots come from bisection rather than the quadratic formula, the
 two-branch dual coefficients from the explicit solved expressions rather
 than a linear solve, and the consumption Hamiltonian from brute-force
-grid maximization.  pchip_policy, pchip_vx and pchip_free_boundary are
-the floating-point references: the table policy, its V_x and the
+grid maximization.  pchip_policy, pchip_vx, pchip_log_vx_derivatives
+and pchip_free_boundary are the floating-point references: the table
+policy, its V_x, the derivatives of ln V_x in ln x and the
 free-boundary bisection evaluated through scipy's own PchipInterpolator objects and
 interval search, which the package must reproduce bit for bit.
 """
@@ -164,6 +165,14 @@ def pchip_policy(table, x):
 def pchip_vx(table, x):
     """V_x at wealth array x: exp of a PchipInterpolator of ln V_x in ln x."""
     return np.exp(PchipInterpolator(np.log(table.x), np.log(table.V_x))(np.log(x)))
+
+
+def pchip_log_vx_derivatives(table, x):
+    """First and second derivatives in ln x of the PchipInterpolator of
+    ln V_x, at wealth array x."""
+    log_vx = PchipInterpolator(np.log(table.x), np.log(table.V_x))
+    s = np.log(x)
+    return log_vx.derivative(1)(s), log_vx.derivative(2)(s)
 
 
 def pchip_free_boundary(spec, grid):

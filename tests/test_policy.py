@@ -16,7 +16,7 @@ from consfloor import (
 from consfloor.dual_solver import default_config
 from consfloor.errors import ConvexityLoss, OutOfRange
 from consfloor.policy import TableFeedback
-from oracles import pchip_policy, pchip_vx
+from oracles import pchip_log_vx_derivatives, pchip_policy, pchip_vx
 
 BASE = dict(r=0.03, mu=0.05, sigma=0.2, beta=0.1, p=0.5)
 
@@ -271,7 +271,8 @@ def _bits(a):
 def test_eval_into_bit_identical_to_policy_at(locator_table):
     """One evaluator, reused across two arrays of one length and a third
     of another, gives the bits of policy_at and of scipy's PCHIP (c, pi
-    and the returned V_x) at the end nodes, every knot, a few ulps either
+    and the returned V_x, and the returned first and second derivatives
+    of ln V_x in ln x) at the end nodes, every knot, a few ulps either
     side of each x* and a scan just above it."""
     t = locator_table
     probes = [t.x]
@@ -285,8 +286,11 @@ def test_eval_into_bit_identical_to_policy_at(locator_table):
     for q in (pts, rng.permutation(pts), pts[::7], pts):
         c, pi = np.empty_like(q), np.empty_like(q)
         with np.errstate(invalid="ignore", over="ignore"):
-            V_x = feedback.eval_into(q, c, pi, np.empty_like(q))
+            V_x, slope, curv = feedback.eval_into(q, c, pi, np.empty_like(q))
         assert np.array_equal(_bits(V_x), _bits(pchip_vx(t, q)))
+        slope_ref, curv_ref = pchip_log_vx_derivatives(t, q)
+        assert np.array_equal(_bits(slope), _bits(slope_ref))
+        assert np.array_equal(_bits(curv), _bits(curv_ref))
         c_ref, pi_ref = policy_at(t, q)
         assert np.array_equal(_bits(c), _bits(c_ref))
         assert np.array_equal(_bits(pi), _bits(pi_ref))
