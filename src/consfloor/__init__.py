@@ -5,9 +5,21 @@ Closed forms for the unconstrained and proportional-floor cases, an
 exact dual solution for the fixed-floor case, a Newton solver for the
 general dual ODE, free-boundary detection, theorem-based verification
 checks, and Monte-Carlo attainment tests.
+
+Importing the package loads the core every command needs: errors,
+params, closed_form, dual_solver and policy.  The names it re-exports
+from montecarlo (SimConfig, SimReport, simulate, compare_to_value and
+the *_feedback constructors) and from verification (VerificationReport,
+run_all) load their module on first access (PEP 562), so `consfloor
+solve` compiles and runs neither and `consfloor verify` only the
+latter.  `from consfloor import simulate` and `from consfloor import *`
+work as before; the submodules themselves are reached by importing
+them, e.g. `from consfloor import montecarlo`.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from . import errors
 from .closed_form import (
@@ -29,16 +41,6 @@ from .dual_solver import (
     ode_residual,
     solve_dual,
 )
-from .montecarlo import (
-    SimConfig,
-    SimReport,
-    compare_to_value,
-    floor_feedback,
-    homogeneous_feedback,
-    merton_feedback,
-    simulate,
-    table_feedback,
-)
 from .params import (
     ProblemCase,
     ProblemSpec,
@@ -49,7 +51,6 @@ from .params import (
     parse_config,
 )
 from .policy import PolicyTable, RegionPartition, invert, policy_at, regions, value_at
-from .verification import VerificationReport, run_all
 
 __all__ = [
     "__version__",
@@ -72,3 +73,24 @@ __all__ = [
     "SimConfig", "SimReport", "simulate", "compare_to_value", "merton_feedback",
     "floor_feedback", "homogeneous_feedback", "table_feedback",
 ]
+
+# re-exported name -> the module that defines it, imported on first access
+_LAZY = {
+    "VerificationReport": "verification", "run_all": "verification",
+    "SimConfig": "montecarlo", "SimReport": "montecarlo", "simulate": "montecarlo",
+    "compare_to_value": "montecarlo", "merton_feedback": "montecarlo",
+    "floor_feedback": "montecarlo", "homogeneous_feedback": "montecarlo",
+    "table_feedback": "montecarlo",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -4,7 +4,8 @@ Subcommands: classify, solve, verify, simulate.  Inputs come from a JSON
 config (keys r, mu, sigma, beta, p, k, l, optional x0); outputs are
 written into a run directory whose manifest.json records every command
 that touched it.  Numeric outputs are deterministic for fixed inputs and
-seeds; only the manifest carries timestamps.
+seeds; only the manifest carries timestamps.  Each command imports
+only what it runs: montecarlo for simulate, verification for verify.
 
 Exit codes: 0 success, 2 input or feasibility error, 3 solver
 non-convergence, 4 verification failure.
@@ -19,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, dual_solver, montecarlo, policy, serialize, verification
+from . import __version__, dual_solver, policy, serialize
 from .errors import Error, NoConvergence
 from .params import ProblemSpec, check_initial_wealth, load_config
 
@@ -118,6 +119,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verification
+
     spec, _ = load_config(args.config)
     out_dir = Path(args.out)
     summary_path = out_dir / "summary.json"
@@ -137,6 +140,8 @@ def cmd_verify(args) -> int:
 
 
 def _build_policy(spec: ProblemSpec, name: str, x0: float, args):
+    from . import montecarlo
+
     if name == "floor":
         return montecarlo.floor_feedback(spec)
     if name == "merton":
@@ -152,6 +157,8 @@ def _build_policy(spec: ProblemSpec, name: str, x0: float, args):
 
 
 def cmd_simulate(args) -> int:
+    from . import montecarlo
+
     spec, config_x0 = load_config(args.config)
     x0 = args.x0 if args.x0 is not None else config_x0
     if x0 is None:

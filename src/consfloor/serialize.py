@@ -2,16 +2,29 @@
 
 JSON is the standard library's, indented by two spaces; its floats are
 written in Python's shortest round-trip form (repr).  CSV floats carry
-17 significant digits ('%.16e').  Either way re-reading a file
-reproduces the original float64 bit patterns exactly, and identical
-inputs produce byte-identical files.  CSVs use '.' decimals, ','
-separators and a header row, independent of locale.
+17 significant digits ('%.16e'), enough to single out one float64.
+Either way re-reading a file reproduces the original float64 bit
+patterns exactly, and identical inputs produce byte-identical files.
+CSVs use '.' decimals, ',' separators and a header row, independent of
+locale.
+
+A CSV is read by checking its first line against the expected header
+and handing the rest of the open file to one np.loadtxt call, which
+parses it in chunks, with a structured dtype: float64 fields, and a
+Python-object field for the text column so that no label is cut to a
+fixed width.  loadtxt's C parser rounds each number correctly, as
+float() does, so the round trip stays bit-exact (signed zeros,
+subnormals and the largest finite floats included).  Empty lines are
+skipped; a row with the wrong number of cells (a line of spaces
+included) or a cell that is not a number raises ConfigError naming the
+file, and a header-only file gives empty columns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +79,7 @@ def write_dual_csv(path: str | Path, grid: DualGrid) -> bytes:
 
 
 def read_dual_csv(path: str | Path) -> dict[str, np.ndarray]:
-    cols = _read_csv(path, _DUAL_COLUMNS)
-    return {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
+    return _read_csv(path, _DUAL_COLUMNS, 4)
 
 
 def write_policy_csv(path: str | Path, table: PolicyTable) -> bytes:
@@ -78,33 +90,28 @@ def read_policy_csv(path: str | Path, spec: ProblemSpec,
                     x_star_list=()) -> PolicyTable:
     """Rebuild a PolicyTable from file without revalidating invariants
     (verification checks are the place corrupted data should surface)."""
-    cols = _read_csv(path, _POLICY_COLUMNS)
-    return PolicyTable(
-        spec=spec,
-        x=np.asarray(cols["x"], dtype=float),
-        V=np.asarray(cols["V"], dtype=float),
-        V_x=np.asarray(cols["V_x"], dtype=float),
-        V_xx=np.asarray(cols["V_xx"], dtype=float),
-        c_star=np.asarray(cols["c_star"], dtype=float),
-        pi_star=np.asarray(cols["pi_star"], dtype=float),
-        region=np.asarray(cols["region"]),
-        x_star_list=tuple(x_star_list),
-    )
+    return PolicyTable(spec=spec, **_read_csv(path, _POLICY_COLUMNS, 6),
+                       x_star_list=tuple(x_star_list))
 
 
-def _read_csv(path: str | Path, expected_header: tuple[str, ...]) -> dict[str, list]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or tuple(lines[0].split(",")) != expected_header:
-        raise ConfigError(f"{path}: expected header {','.join(expected_header)}")
-    cols: dict[str, list] = {name: [] for name in expected_header}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(expected_header):
-            raise ConfigError(f"{path}: malformed row {ln!r}")
-        for name, part in zip(expected_header, parts):
-            cols[name].append(part if name == "region" else float(part))
-    return cols
+def _read_csv(path: str | Path, names: tuple[str, ...],
+              n_float_cols: int) -> dict[str, np.ndarray]:
+    """Columns `names` of the file, the first n_float_cols as contiguous
+    float64 arrays and the rest as str arrays; the inverse of _write_csv."""
+    dtype = [(name, np.float64 if i < n_float_cols else object)
+             for i, name in enumerate(names)]
+    with open(path, encoding="utf-8") as f:
+        if tuple(f.readline().rstrip("\n").split(",")) != names:
+            raise ConfigError(f"{path}: expected header {','.join(names)}")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file reads as empty columns, not as a warning
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return {name: np.ascontiguousarray(rows[name]) if i < n_float_cols
+            else rows[name].astype(str) for i, name in enumerate(names)}
 
 
 def sha256_bytes(data: bytes) -> str:

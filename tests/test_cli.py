@@ -140,6 +140,21 @@ def test_verify_corrupted_policy_exits_4(capsys, nh_config, tmp_path):
     assert main(["verify", "--config", str(nh_config), "--out", str(out_dir)]) == 4
 
 
+def test_verify_truncated_policy_row_exits_2(capsys, nh_config, tmp_path):
+    out_dir = tmp_path / "run"
+    assert main(["solve", "--config", str(nh_config), "--out", str(out_dir),
+                 "--span", "1e3"]) == 0
+    policy_path = out_dir / "policy.csv"
+    lines = policy_path.read_text().splitlines()
+    mid = len(lines) // 2
+    lines[mid] = lines[mid].split(",", 1)[1]   # drop the row's x cell
+    policy_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", str(nh_config), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(policy_path) in err
+
+
 def test_verify_without_solve_exits_2(capsys, nh_config, tmp_path):
     assert main(["verify", "--config", str(nh_config), "--out",
                  str(tmp_path / "nothing")]) == 2
@@ -237,4 +252,57 @@ def test_solve_and_verify_run_without_scipy(nh_config, tmp_path):
 
 def test_package_import_loads_no_scipy():
     proc = _run_package_python(_IMPORTS_NO_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+
+
+# what each entry point loads: the CLI module pulls in neither the
+# simulator nor the check suite, and the package's re-exports of both
+# resolve on first access
+_LAZY_IMPORTS = """
+import sys
+import consfloor.cli
+lazy = ("consfloor.montecarlo", "consfloor.verification")
+assert not [m for m in lazy if m in sys.modules], "consfloor.cli"
+import consfloor
+assert "run_all" in dir(consfloor) and "simulate" in dir(consfloor)
+consfloor.simulate
+assert "consfloor.montecarlo" in sys.modules, "consfloor.simulate"
+assert "consfloor.verification" not in sys.modules, "consfloor.simulate"
+assert all(getattr(consfloor, name) is not None for name in consfloor.__all__)
+assert set(consfloor.__all__) <= set(dir(consfloor)), "dir"
+namespace = {}
+exec("from consfloor import *", namespace)
+assert set(consfloor.__all__) <= set(namespace), "import *"
+from consfloor.montecarlo import simulate
+from consfloor.verification import run_all
+assert namespace["simulate"] is simulate and namespace["run_all"] is run_all
+try:
+    consfloor.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("consfloor.no_such_name resolved")
+"""
+
+
+def test_cli_loads_only_what_it_runs_and_lazy_names_resolve():
+    proc = _run_package_python(_LAZY_IMPORTS)
+    assert proc.returncode == 0, proc.stderr
+
+
+_COMMAND_IMPORTS = """
+import sys
+from consfloor.cli import main
+config, out = sys.argv[1:]
+def loaded():
+    return {m for m in ("consfloor.montecarlo", "consfloor.verification") if m in sys.modules}
+assert main(["solve", "--config", config, "--out", out, "--span", "1e3"]) == 0
+assert loaded() == set(), ("solve", loaded())
+assert main(["verify", "--config", config, "--out", out]) == 0
+assert loaded() == {"consfloor.verification"}, ("verify", loaded())
+"""
+
+
+def test_solve_loads_neither_simulator_nor_checks_and_verify_only_checks(nh_config, tmp_path):
+    proc = _run_package_python(_COMMAND_IMPORTS, str(nh_config), str(tmp_path / "run"))
     assert proc.returncode == 0, proc.stderr

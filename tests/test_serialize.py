@@ -115,3 +115,60 @@ def test_policy_csv_bytes_are_pinned(tmp_path, spec_nh):
     data = write_policy_csv(tmp_path / "policy.csv", table)
     assert data == _reference_csv("x,V,V_x,V_xx,c_star,pi_star,region", cols, region)
     assert (tmp_path / "policy.csv").read_bytes() == data
+
+
+_DUAL_HEADER = "y,v,v_y,v_yy\n"
+
+
+@pytest.mark.parametrize("row", [
+    "1.0,2.0,3.0",          # a cell short
+    "1.0,2.0,3.0,4.0,5.0",  # a cell over
+    "1.0,2.0,x,4.0",        # not a number
+    "1.0,2.0,,4.0",         # empty cell
+    "#1.0,2.0,3.0,4.0",     # not a comment
+])
+def test_malformed_csv_row_raises_config_error_naming_the_file(tmp_path, row):
+    path = tmp_path / "bad-dual.csv"
+    path.write_text(_DUAL_HEADER + "0.5,0.5,0.5,0.5\n" + row + "\n")
+    with pytest.raises(ConfigError, match="bad-dual.csv"):
+        read_dual_csv(path)
+
+
+def test_csv_blank_lines_are_skipped_and_columns_are_contiguous(tmp_path):
+    path = tmp_path / "dual.csv"
+    path.write_text(_DUAL_HEADER + "1.0,2.0,3.0,4.0\n\n5.0,6.0,7.0,8.0\n\n")
+    cols = read_dual_csv(path)
+    assert np.array_equal(cols["y"], [1.0, 5.0])
+    assert np.array_equal(cols["v_yy"], [4.0, 8.0])
+    assert all(c.dtype == np.float64 and c.flags.c_contiguous for c in cols.values())
+
+
+def test_header_only_csv_gives_empty_columns(tmp_path, spec_nh, recwarn):
+    dual = tmp_path / "dual.csv"
+    dual.write_text(_DUAL_HEADER)
+    cols = read_dual_csv(dual)
+    assert list(cols) == ["y", "v", "v_y", "v_yy"]
+    assert all(c.shape == (0,) and c.dtype == np.float64 for c in cols.values())
+    policy = tmp_path / "policy.csv"
+    policy.write_text("x,V,V_x,V_xx,c_star,pi_star,region")  # no final newline
+    table = read_policy_csv(policy, spec_nh)
+    assert table.x.shape == table.region.shape == (0,)
+    assert len(recwarn) == 0
+
+
+def test_single_row_policy_csv_gives_one_element_columns(tmp_path, spec_nh):
+    path = tmp_path / "policy.csv"
+    path.write_text("x,V,V_x,V_xx,c_star,pi_star,region\n1.0,2.0,3.0,-4.0,5.0,6.0,U\n")
+    table = read_policy_csv(path, spec_nh)
+    assert table.x.tolist() == [1.0] and table.V_xx.tolist() == [-4.0]
+    assert table.region.tolist() == ["U"]
+
+
+def test_policy_csv_region_labels_are_not_truncated(tmp_path, spec_nh):
+    path = tmp_path / "policy.csv"
+    path.write_text("x,V,V_x,V_xx,c_star,pi_star,region\n"
+                    "1.0,1.0,1.0,-1.0,1.0,1.0,C\n"
+                    "2.0,2.0,0.5,-1.0,2.0,1.0,CU\n"
+                    "3.0,3.0,0.2,-1.0,3.0,1.0,boundary\n")
+    table = read_policy_csv(path, spec_nh)
+    assert table.region.tolist() == ["C", "CU", "boundary"]
