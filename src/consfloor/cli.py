@@ -95,8 +95,14 @@ def cmd_solve(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dual_bytes = serialize.write_dual_csv(out_dir / "dual.csv", grid)
-    policy_bytes = serialize.write_policy_csv(out_dir / "policy.csv", table)
+    # each file's bytes are digested as soon as written and then dropped,
+    # so both files are never held at once
+    digests = {
+        "dual.csv": serialize.sha256_bytes(
+            serialize.write_dual_csv(out_dir / "dual.csv", grid)),
+        "policy.csv": serialize.sha256_bytes(
+            serialize.write_policy_csv(out_dir / "policy.csv", table)),
+    }
     summary = _spec_obj(spec)
     summary.update({
         "x_star_list": list(table.x_star_list),
@@ -104,10 +110,7 @@ def cmd_solve(args) -> int:
         "n_nodes": grid.n_nodes,
         "y_min": cfg.y_min,
         "y_max": cfg.y_max,
-        "digests": {
-            "dual.csv": serialize.sha256_bytes(dual_bytes),
-            "policy.csv": serialize.sha256_bytes(policy_bytes),
-        },
+        "digests": digests,
     })
     serialize.write_json(out_dir / "summary.json", summary)
     _update_manifest(out_dir, "solve", Path(args.config),

@@ -8,6 +8,13 @@ patterns exactly, and identical inputs produce byte-identical files.
 CSVs use '.' decimals, ',' separators and a header row, independent of
 locale.
 
+A CSV is written in blocks of _BLOCK_ROWS rows: each column's slice
+becomes a Python list, its rows are formatted and the block's text is
+encoded, and the encoded blocks are joined once into the bytes that are
+written and returned.  Only one block's lists and strings are alive at
+a time, so the transient is the encoded blocks plus their join: about
+twice the file size at any node count.
+
 A CSV is read by checking its first line against the expected header
 and handing the rest of the open file to one np.loadtxt call, which
 parses it in chunks, with a structured dtype: float64 fields, and a
@@ -17,7 +24,9 @@ float() does, so the round trip stays bit-exact (signed zeros,
 subnormals and the largest finite floats included).  Empty lines are
 skipped; a row with the wrong number of cells (a line of spaces
 included) or a cell that is not a number raises ConfigError naming the
-file, and a header-only file gives empty columns.
+file, the first such line (counted from 1 at the header, blank lines
+included) and its fault, found by rescanning the file once loadtxt has
+failed.  A header-only file gives empty columns.
 """
 
 from __future__ import annotations
@@ -61,15 +70,21 @@ def write_json(path: str | Path, obj) -> bytes:
 _DUAL_COLUMNS = ("y", "v", "v_y", "v_yy")
 _POLICY_COLUMNS = ("x", "V", "V_x", "V_xx", "c_star", "pi_star", "region")
 
+# rows formatted and encoded at once; bounds the Python objects alive
+_BLOCK_ROWS = 1024
+
 
 def _write_csv(path: str | Path, obj, names: tuple[str, ...], n_float_cols: int) -> bytes:
     """Write the columns `names` of obj, one row per node, and return the
     bytes; the first n_float_cols are floats written as '%.16e', the rest
     as text."""
-    fmt = ",".join(["%.16e"] * n_float_cols + ["%s"] * (len(names) - n_float_cols))
-    rows = zip(*(getattr(obj, name).tolist() for name in names))
-    lines = [",".join(names)] + [fmt % row for row in rows]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    fmt = ",".join(["%.16e"] * n_float_cols + ["%s"] * (len(names) - n_float_cols)) + "\n"
+    cols = [getattr(obj, name) for name in names]
+    blocks = [(",".join(names) + "\n").encode("utf-8")]
+    for lo in range(0, len(cols[0]), _BLOCK_ROWS):
+        rows = zip(*(col[lo:lo + _BLOCK_ROWS].tolist() for col in cols))
+        blocks.append("".join([fmt % row for row in rows]).encode("utf-8"))
+    data = b"".join(blocks)
     Path(path).write_bytes(data)
     return data
 
@@ -109,9 +124,39 @@ def _read_csv(path: str | Path, names: tuple[str, ...],
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            fault = _first_fault(path, len(names), n_float_cols) or exc
+            raise ConfigError(f"{path}: {fault}") from None
     return {name: np.ascontiguousarray(rows[name]) if i < n_float_cols
             else rows[name].astype(str) for i, name in enumerate(names)}
+
+
+def _first_fault(path: str | Path, n_cols: int, n_float_cols: int) -> str | None:
+    """The first data line of the file that loadtxt rejects, as
+    'line N: fault' with N counted from 1 at the header and blank lines
+    counted; None if no line is found at fault."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            cells = line.rstrip("\n").split(",")
+            if lineno == 1 or cells == [""]:
+                continue
+            if len(cells) != n_cols:
+                return f"line {lineno}: expected {n_cols} cells, found {len(cells)}"
+            for i, cell in enumerate(cells[:n_float_cols], 1):
+                if not _is_number(cell):
+                    return f"line {lineno}: cell {i} ({cell!r}) is not a number"
+    return None
+
+
+def _is_number(cell: str) -> bool:
+    """Whether loadtxt reads cell as a float64: float()'s grammar less
+    its digit-group underscores and non-ASCII digits."""
+    if "_" in cell or not cell.isascii():
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -10,6 +10,9 @@ and pchip_free_boundary are the floating-point references: the table
 policy, its V_x, the derivatives of ln V_x in ln x and the
 free-boundary bisection evaluated through scipy's own PchipInterpolator objects and
 interval search, which the package must reproduce bit for bit.
+lognormal_affine_expectation is the closed-form expectation of the
+left-point utility sum that a simulation of an affine policy on exact
+log-normal steps estimates, summed in float64 with math.fsum.
 """
 
 from __future__ import annotations
@@ -123,6 +126,18 @@ def hamiltonian_brute_force(u: float, y: float, p: float, n: int = 2_000_001) ->
     c = np.linspace(u, c_top, n)
     vals = c**p / p - c * y
     return float(vals.max())
+
+
+def lognormal_affine_expectation(c1, pi1, x0, dt, n_steps, r=0.03, mu=0.05, sigma=0.2,
+                                 beta=0.1, p=0.5) -> float:
+    """E of the left-point utility sum under exact log-normal steps of
+    the wealth of c = c1 x, pi = pi1 x: E[X_{i+1}^p] = g E[X_i^p] with
+    g = exp(p a dt + p (p-1) b^2 dt / 2), a = r - c1 + mu pi1, b = sigma pi1."""
+    a, b = r - c1 + mu * pi1, sigma * pi1
+    g = math.exp(p * a * dt + p * (p - 1.0) * b * b * dt / 2.0)
+    w = -math.expm1(-beta * dt) / beta
+    return math.fsum(math.exp(-beta * i * dt) * w * (c1 * x0)**p / p * g**i
+                     for i in range(n_steps))
 
 
 # Frozen oracle constants for the baseline market

@@ -101,11 +101,16 @@ def test_criterion_2_closed_forms():
 def test_criterion_3_monte_carlo_attainment(spec_merton, spec_nh):
     t0 = time.perf_counter()
     cfg = SimConfig(x0=1.0, dt=1.0 / 250.0, horizon=300.0, n_paths=100_000, seed=2024)
-    report = simulate(spec_merton, merton_feedback(spec_merton), cfg)
+    pol = merton_feedback(spec_merton)
+    report = simulate(spec_merton, pol, cfg)
     elapsed = time.perf_counter() - t0
 
+    # the estimate is unbiased for the left-point expectation; V differs
+    # from it by the time-stepping bias, which V's check is allowed
+    left = oracles.lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
+    left_gap = abs(report.estimate - left)
     v0 = merton_value(spec_merton, 1.0)
-    verdict = compare_to_value(report, v0)
+    verdict = compare_to_value(report, v0, discretization_allowance=abs(v0 - left))
     quoted = compare_to_value(report, 6.09990)
     control = compare_to_value(report, 1.05 * v0)
 
@@ -115,11 +120,14 @@ def test_criterion_3_monte_carlo_attainment(spec_merton, spec_nh):
     deg_exact = (1.0 - math.exp(-spec_nh.beta * deg.horizon)) * spec_nh.v_xe
     deg_err = abs(deg.estimate - deg_exact) / deg_exact
 
-    ok = (verdict.passed and quoted.passed and not control.passed
-          and deg_err <= 1e-12 and deg.std_error == 0.0 and elapsed <= 300.0)
+    ok = (left_gap <= 3.0 * report.std_error and verdict.passed and quoted.passed
+          and not control.passed and deg_err <= 1e-12 and deg.std_error == 0.0
+          and elapsed <= 300.0)
     _verdict(3, ok,
-             f"merton estimate {report.estimate:.5f} vs {v0:.5f} "
-             f"(gap {verdict.gap:.4f} <= 3SE+tail {verdict.tolerance:.4f}), "
+             f"merton estimate {report.estimate:.7f} vs left-point expectation "
+             f"{left:.7f} (gap {left_gap:.2e} <= 3SE {3.0 * report.std_error:.2e}) "
+             f"and V {v0:.5f} (gap {verdict.gap:.4f} <= 3SE+tail+|V-E_left| "
+             f"{verdict.tolerance:.4f}), "
              f"5% offset control rejected={not control.passed}, "
              f"degenerate rel err {deg_err:.1e} (<=1e-12) with zero variance, "
              f"runtime {elapsed:.0f}s (<=300s)")

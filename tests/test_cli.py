@@ -153,6 +153,7 @@ def test_verify_truncated_policy_row_exits_2(capsys, nh_config, tmp_path):
     assert main(["verify", "--config", str(nh_config), "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(policy_path) in err
+    assert f"line {mid + 1}: expected 7 cells, found 6" in err
 
 
 def test_verify_without_solve_exits_2(capsys, nh_config, tmp_path):

@@ -37,7 +37,12 @@ from consfloor.montecarlo import (
     _Normals,
     _philox_key,
 )
-from oracles import pchip_log_vx_derivatives, pchip_policy, pchip_vx
+from oracles import (
+    lognormal_affine_expectation,
+    pchip_log_vx_derivatives,
+    pchip_policy,
+    pchip_vx,
+)
 
 BASE = dict(r=0.03, mu=0.05, sigma=0.2, beta=0.1, p=0.5)
 
@@ -158,18 +163,6 @@ def test_lognormal_floor_policy_is_exact(spec_homog):
     assert report.floor_violations == 0
 
 
-def _lognormal_affine_expectation(c1, pi1, x0, dt, n_steps):
-    """E of the left-point utility sum under exact log-normal steps of
-    the wealth of c = c1 x, pi = pi1 x: E[X_{i+1}^p] = g E[X_i^p] with
-    g = exp(p a dt + p (p-1) b^2 dt / 2), a = r - c1 + mu pi1, b = sigma pi1."""
-    r, mu, sigma, beta, p = BASE["r"], BASE["mu"], BASE["sigma"], BASE["beta"], BASE["p"]
-    a, b = r - c1 + mu * pi1, sigma * pi1
-    g = math.exp(p * a * dt + p * (p - 1.0) * b * b * dt / 2.0)
-    w = -math.expm1(-beta * dt) / beta
-    return math.fsum(math.exp(-beta * i * dt) * w * (c1 * x0)**p / p * g**i
-                     for i in range(n_steps))
-
-
 def test_lognormal_merton_matches_discrete_expectation(spec_merton):
     """Merton wealth takes exact log-normal steps: no Euler bias is left,
     so the estimate lies within 4 SE of the left-point expectation, and
@@ -177,7 +170,7 @@ def test_lognormal_merton_matches_discrete_expectation(spec_merton):
     pol = merton_feedback(spec_merton)
     cfg = SimConfig(x0=1.0, dt=1 / 50, horizon=10.0, n_paths=2000, seed=7)
     report = simulate(spec_merton, pol, cfg)
-    expected = _lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
+    expected = lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
     assert abs(report.estimate - expected) <= 4.0 * report.std_error, \
         (report.estimate, expected, report.std_error)
     assert abs(report.estimate - 1.05 * expected) > 4.0 * report.std_error
@@ -226,7 +219,7 @@ def test_lognormal_control_variate_weight_is_the_policys_own(spec_homog):
         report = simulate(spec_homog, pol, cfg)
         assert report.std_error <= report.uncorrected_std_error / 10.0, \
             (report.std_error, report.uncorrected_std_error)
-        expected = _lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
+        expected = lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
         assert abs(report.estimate - expected) <= 4.0 * report.std_error, \
             (report.estimate, expected, report.std_error)
         assert abs(report.estimate - 1.005 * expected) > 4.0 * report.std_error
@@ -267,7 +260,7 @@ def test_homogeneous_attainment(spec_homog):
     pol = homogeneous_feedback(spec_homog)
     cfg = SimConfig(x0=1.0, dt=1 / 100, horizon=150.0, n_paths=30_000, seed=17)
     report = simulate(spec_homog, pol, cfg)
-    expected = _lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
+    expected = lognormal_affine_expectation(pol.c1, pol.pi1, 1.0, cfg.dt, report.n_steps)
     assert abs(report.estimate - expected) <= 3.0 * report.std_error, \
         (report.estimate, expected, report.std_error)
     value = homogeneous_value(spec_homog, 1.0)

@@ -1,11 +1,14 @@
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from consfloor import DualGrid, PolicyTable
 from consfloor.serialize import (
+    _BLOCK_ROWS,
     json_dumps,
     read_dual_csv,
     read_policy_csv,
@@ -117,20 +120,67 @@ def test_policy_csv_bytes_are_pinned(tmp_path, spec_nh):
     assert (tmp_path / "policy.csv").read_bytes() == data
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                    2 * _BLOCK_ROWS + 1])
+def test_csv_bytes_across_block_boundaries(tmp_path, spec_nh, n_rows):
+    cols = [np.resize(c, n_rows) for c in _pinned_columns(6)]
+    region = np.resize(np.array(["C", "U"]), n_rows)
+    # a DualGrid needs 3 nodes; the writer reads only the named columns
+    grid = SimpleNamespace(**dict(zip(("y", "v", "v_y", "v_yy"), cols)))
+    data = write_dual_csv(tmp_path / "dual.csv", grid)
+    assert data == _reference_csv("y,v,v_y,v_yy", cols[:4])
+    assert (tmp_path / "dual.csv").read_bytes() == data
+    table = PolicyTable(spec_nh, *cols, region=region)
+    data = write_policy_csv(tmp_path / "policy.csv", table)
+    assert data == _reference_csv("x,V,V_x,V_xx,c_star,pi_star,region", cols, region)
+    assert (tmp_path / "policy.csv").read_bytes() == data
+    if n_rows == 0:
+        assert data == b"x,V,V_x,V_xx,c_star,pi_star,region\n"
+
+
+def test_policy_csv_writer_transient_is_about_twice_the_file(tmp_path, spec_nh):
+    """Rows are formatted a block at a time, so the writer holds little
+    more than the encoded blocks and their join."""
+    n_rows = 16384
+    cols = [np.resize(c, n_rows) for c in _pinned_columns(6)]
+    table = PolicyTable(spec_nh, *cols, region=np.resize(np.array(["C", "U"]), n_rows))
+    tracemalloc.start()
+    try:
+        data = write_policy_csv(tmp_path / "policy.csv", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(data), (peak, len(data))
+
+
 _DUAL_HEADER = "y,v,v_y,v_yy\n"
 
 
-@pytest.mark.parametrize("row", [
-    "1.0,2.0,3.0",          # a cell short
-    "1.0,2.0,3.0,4.0,5.0",  # a cell over
-    "1.0,2.0,x,4.0",        # not a number
-    "1.0,2.0,,4.0",         # empty cell
-    "#1.0,2.0,3.0,4.0",     # not a comment
-])
+# a malformed data row and the fault the reader names for it
+_MALFORMED = {
+    "1.0,2.0,3.0": "expected 4 cells, found 3",             # a cell short
+    "1.0,2.0,3.0,4.0,5.0": "expected 4 cells, found 5",     # a cell over
+    "1.0,2.0,x,4.0": "cell 3 ('x') is not a number",        # not a number
+    "1.0,2.0,,4.0": "cell 3 ('') is not a number",          # empty cell
+    "#1.0,2.0,3.0,4.0": "cell 1 ('#1.0') is not a number",  # not a comment
+    "1_0,2.0,3.0,4.0": "cell 1 ('1_0') is not a number",    # float() takes it, loadtxt not
+}
+
+
+@pytest.mark.parametrize("row", list(_MALFORMED))
 def test_malformed_csv_row_raises_config_error_naming_the_file(tmp_path, row):
     path = tmp_path / "bad-dual.csv"
     path.write_text(_DUAL_HEADER + "0.5,0.5,0.5,0.5\n" + row + "\n")
-    with pytest.raises(ConfigError, match="bad-dual.csv"):
+    with pytest.raises(ConfigError, match="bad-dual.csv: line 3: ") as err:
+        read_dual_csv(path)
+    assert str(err.value).endswith(_MALFORMED[row])
+    assert "usecols" not in str(err.value)
+
+
+def test_malformed_csv_row_line_counts_blank_lines(tmp_path):
+    path = tmp_path / "dual.csv"
+    path.write_text(_DUAL_HEADER + "\n1.0,2.0,3.0,4.0\n\n1.0,\uff12,3.0,4.0\n")
+    with pytest.raises(ConfigError, match="line 5: cell 2 .* is not a number"):
         read_dual_csv(path)
 
 
