@@ -101,13 +101,37 @@ clamped to x_e and switched permanently to the floor policy (c_e, 0),
 the exact continuation there; the event count diagnoses dt adequacy.
 A state beyond the float64 range raises NumericalBlowup in either
 scheme.
+
+An Euler run of the simulator's own evaluators, TableFeedback and
+AffinePolicy, splits its antithetic pairs into contiguous blocks, one
+per usable CPU (os.sched_getaffinity), each of at least
+MIN_BLOCK_PATH_STEPS path-steps.  The caller's process steps the first
+block and a child made by os.fork each other one; the children write
+their per-path sums into shared memory in path order.  Every operation
+of a step is per lane, except the min and max over the lanes, which the
+blocks combine exactly, and the block of pairs a to b - 1 reads lanes
+a to b - 1 of a fill of b normals, the head of the whole run's fill; so
+the result is bit-for-bit that of one block, for any number of CPUs.
+Processes rather than threads: the step is a chain of short numpy
+calls, and two threads sharing the GIL ran a whole simulation at 0.5x
+the speed of one.  A plain callable, whose side effects belong to the
+caller's process, and the log-normal scheme, whose Philox draws each
+block would repeat, run in one block, as does every run where os.fork
+is missing or other threads run.  If a block raises, the other blocks
+are stopped and the run is repeated in one block, which raises the
+same error with its one-block message.  Every child is reaped before
+simulate returns or raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import numbers
+import os
 import sys
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -139,6 +163,10 @@ __all__ = [
 # 75 000 steps of a 300-year run at dt = 1/250, and far inside the one
 # 64-bit word of the Philox counter that holds the step index
 MAX_STEPS = 10_000_000
+
+# fewest path-steps that earn a forked block of an Euler run: about 50 ms
+# of stepping, against the 2-3 ms a fork takes
+MIN_BLOCK_PATH_STEPS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -370,6 +398,9 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
     and must be admissible (c >= k x + l) on the reachable range.
     Deterministic given (spec, cfg): reruns are bit-identical.  The
     stepping scheme follows from the policy and spec (module docstring).
+    An Euler run of TableFeedback or AffinePolicy steps blocks of paths
+    in forked children on every usable CPU, with the same bits for any
+    number of CPUs, and no child outlives the call.
     """
     if spec.kappa <= 0.0:
         raise KappaNonPositive("simulation tail bound requires kappa > 0")
@@ -496,13 +527,115 @@ def _off_edge(x, query, absorbed, x0):
     return query
 
 
-def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
-    """Euler-Maruyama steps with clamping at x_e; see the module docstring.
+def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step, cuts=None):
+    """Euler-Maruyama steps with clamping at x_e, in blocks of antithetic
+    pairs; see the module docstring.
 
-    Returns the per-path utility sums; None when the policy returns no
-    V_x, else per path the sum of the hedges H_i (module docstring) less
-    the discounted terminal value e^{-beta T} V(X_T) (V(x_e) on absorbed
-    lanes); the number of clamped paths; and the highest wealth reached.
+    cuts are the block edges in pairs, 0 = cuts[0] < ... < cuts[-1] =
+    n/2 (by default from _block_cuts).  Returns, in path order, the
+    per-path utility sums; None when the policy returns no V_x, else per
+    path the sum of the hedges H_i (module docstring) less the discounted
+    terminal value e^{-beta T} V(X_T) (V(x_e) on absorbed lanes); the
+    number of clamped paths; and the highest wealth reached.
+    """
+    if not hasattr(policy, "eval_into"):
+        policy = _CheckedPolicy(policy, spec.k, spec.l)
+    h = n // 2
+    if cuts is None:
+        cuts = _block_cuts(policy, h, n_steps)
+
+    def block(a, b):
+        return _euler_block(spec, policy, x0, dt, n_steps, a, b, normals, w_step)
+
+    if len(cuts) > 2:
+        assembled = _forked_blocks(block, cuts, policy)
+        if assembled is not None:
+            return assembled
+    # one block, or the rerun of a split run that failed: a block fails
+    # exactly when the whole run does, and this raises its error
+    return block(0, h)
+
+
+def _block_cuts(policy, h, n_steps):
+    """Block edges for h pairs: one block per usable CPU, each of at
+    least MIN_BLOCK_PATH_STEPS path-steps, for the simulator's own
+    evaluators; a single block for a plain callable, whose side effects
+    belong to the caller's process, and where os.fork is missing or
+    other threads run."""
+    blocks = 1
+    if (isinstance(policy, (TableFeedback, AffinePolicy)) and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and threading.active_count() == 1):
+        blocks = max(1, min(len(os.sched_getaffinity(0)), h,
+                            2 * h * n_steps // MIN_BLOCK_PATH_STEPS))
+    return [h * j // blocks for j in range(blocks + 1)]
+
+
+def _forked_blocks(block, cuts, policy):
+    """Run block(cuts[0], cuts[1]) here and each later block in a child
+    made by os.fork, and assemble the results in path order; None when a
+    block raised or a child failed.  Every child is reaped before this
+    returns or raises, and killed first if it has not finished."""
+    h = cuts[-1]
+    n = 2 * h
+    n_blocks = len(cuts) - 1
+    # written by the children: the utility and hedge sums, rows the first
+    # and second paths of each pair, and each block's (clamped paths,
+    # highest wealth)
+    shared = mmap.mmap(-1, 8 * (2 * n + 2 * n_blocks))
+    acc = np.frombuffer(shared, count=n).reshape(2, h)
+    mart = np.frombuffer(shared, count=n, offset=8 * n).reshape(2, h)
+    stats = np.frombuffer(shared, offset=16 * n).reshape(n_blocks, 2)
+
+    def store(j):
+        a, b = cuts[j], cuts[j + 1]
+        acc_j, mart_j, violations, max_wealth = block(a, b)
+        acc[:, a:b] = acc_j.reshape(2, -1)
+        if mart_j is not None:
+            mart[:, a:b] = mart_j.reshape(2, -1)
+        stats[j] = violations, max_wealth
+        return mart_j is not None
+
+    parent = os.getpid()
+    children = []
+    try:
+        if isinstance(policy, TableFeedback):
+            policy.table._pieces    # built once, for every block
+        for j in range(1, n_blocks):
+            pid = os.fork()
+            if pid == 0:
+                store(j)
+                os._exit(0)
+            children.append(pid)
+        has_mart = store(0)
+        while children:
+            _, status = os.waitpid(children[-1], 0)
+            children.pop()
+            if status:
+                return None
+    except Exception:
+        return None
+    finally:
+        if os.getpid() != parent:
+            os._exit(1)     # a child that raised
+        if children:
+            import signal   # loaded only when blocks are stopped early
+            # an interrupt between a reap and its pop leaves a reaped pid
+            for pid in children:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            for pid in children:
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+    return (acc.reshape(n), mart.reshape(n) if has_mart else None,
+            int(stats[:, 0].sum()), float(stats[:, 1].max()))
+
+
+def _euler_block(spec, policy, x0, dt, n_steps, a, b, normals, w_step):
+    """Euler-Maruyama steps of the antithetic pairs a to b - 1 of a run,
+    with clamping at x_e; see the module docstring.
+
+    The block's paths are the pairs' first paths, then their second
+    ones; it returns what _euler_steps does for those paths.
     """
     r, mu, sigma, beta, p = spec.r, spec.mu, spec.sigma, spec.beta, spec.p
     x_e, c_e = spec.x_e, spec.c_e
@@ -511,17 +644,17 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     ito_w = -0.5 * mu * dt
     cube_w = mu * mu * dt * math.sqrt(dt) / (6.0 * sigma)
     drift_w = -(mu / sigma) * math.sqrt(dt)
-    if not hasattr(policy, "eval_into"):
-        policy = _CheckedPolicy(policy, spec.k, spec.l)
-
+    h = b - a
+    n = 2 * h
     x = np.full(n, float(x0))
     query = np.empty(n)
     acc = np.zeros(n)
     mart = None
     absorbed = np.empty(0, dtype=np.intp)
-    h = n // 2
-    z = np.empty(h, dtype=np.float32)
-    # the step's normals in float64: a float32 operand costs a cast in
+    # the step's first b normals: a fill of b draws is the head of a
+    # fill of n/2, so the block's pairs read the lanes z[a:]
+    z = np.empty(b, dtype=np.float32)
+    # the block's normals in float64: a float32 operand costs a cast in
     # every ufunc
     z64 = np.empty(h)
     c = np.empty(n)
@@ -562,7 +695,7 @@ def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
             acc += util
 
             normals.fill(i, z)
-            np.copyto(z64, z)
+            np.copyto(z64, z[a:])
             np.multiply(x, r, out=drift)
             drift -= c
             np.multiply(pi, mu, out=scratch)

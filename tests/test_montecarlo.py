@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from consfloor.dual_solver import default_config
 from consfloor.errors import (
     InfeasibleWealth,
     NumericalBlowup,
+    OutOfRange,
     ParameterError,
     PolicyInadmissible,
 )
@@ -32,11 +34,14 @@ from consfloor.montecarlo import (
     MAX_STEPS,
     AffinePolicy,
     SimReport,
+    _block_cuts,
     _CheckedPolicy,
+    _euler_block,
     _euler_steps,
     _Normals,
     _philox_key,
 )
+from consfloor.policy import TableFeedback
 from oracles import (
     lognormal_affine_expectation,
     pchip_log_vx_derivatives,
@@ -74,15 +79,19 @@ def test_sim_config_validation():
 @pytest.mark.parametrize("n", [1000, 5001])
 def test_reused_generator_matches_fresh_philox(n):
     """Resetting one generator to counter i << 128 gives the normals of a
-    fresh Philox(key, counter=i << 128), in any order of steps."""
+    fresh Philox(key, counter=i << 128), in any order of steps; a shorter
+    fill gives their head, the lanes a block of pairs reads."""
     normals = _Normals(seed=11)
     key = _philox_key(11)
     z = np.empty(n, dtype=np.float32)
+    head = np.empty(517, dtype=np.float32)
     for i in (0, 1, 4999, 2**40, 1):
         normals.fill(i, z)
         fresh = np.random.Generator(np.random.Philox(key=key, counter=i << 128))
         expected = fresh.standard_normal(n, dtype=np.float32)
         assert np.array_equal(z.view(np.uint32), expected.view(np.uint32))
+        normals.fill(i, head)
+        assert np.array_equal(head.view(np.uint32), expected[:517].view(np.uint32))
 
 
 def test_degenerate_marginal_wealth_is_exact(spec_nh):
@@ -552,3 +561,148 @@ def test_clamp_counts_and_absorbs(spec_nh):
     assert report.floor_violations > 0
     # absorbed paths consume c_e forever afterwards; estimate well defined
     assert report.estimate > 0
+
+
+def _euler_run(spec, policy, x0, n_paths, n_steps, seed, cuts=None):
+    dt = 1 / 50
+    w_step = -math.expm1(-spec.beta * dt) / spec.beta
+    return _euler_steps(spec, policy, x0, dt, n_steps, n_paths, _Normals(seed), w_step, cuts)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.mark.parametrize("cuts", [[0, 500], [0, 333, 667], [0, 1], [0, 517], [0, 1000]],
+                         ids=lambda cuts: "-".join(map(str, cuts[1:])))
+@pytest.mark.parametrize("case", ["table", "clipped-merton"])
+def test_blocks_of_pairs_are_bit_identical(spec_nh, nh_table, case, cuts):
+    """Split at any pair, 1-pair blocks and cuts off multiples of 8
+    included, the run's per-path sums, clamped paths and highest wealth
+    keep every bit of the one-block run; clipped Merton from just above
+    x_e clamps most paths."""
+    n, n_steps = 2002, 500
+    if case == "table":
+        policy, x0 = table_feedback(nh_table), 105.0
+    else:
+        policy, x0 = merton_feedback(spec_nh), spec_nh.x_e + 0.01
+    one = _euler_run(spec_nh, policy, x0, n, n_steps, 7, [0, n // 2])
+    split = _euler_run(spec_nh, policy, x0, n, n_steps, 7, cuts + [n // 2])
+    _assert_no_child()
+    acc, mart, floor_violations, max_wealth = split
+    assert np.array_equal(acc.view(np.uint64), one[0].view(np.uint64))
+    if case == "table":
+        assert np.array_equal(mart.view(np.uint64), one[1].view(np.uint64))
+        assert floor_violations == 0
+    else:
+        assert mart is None and one[1] is None
+        assert floor_violations > 1000
+    assert floor_violations == one[2]
+    assert np.float64(max_wealth).view(np.uint64) == np.float64(one[3]).view(np.uint64)
+
+
+def test_block_count_follows_cpus_and_size(spec_nh, nh_table, monkeypatch):
+    """One block per usable CPU, each of at least MIN_BLOCK_PATH_STEPS
+    path-steps; a plain callable keeps one block."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    table = table_feedback(nh_table)
+    assert _block_cuts(table, 5000, 500) == [0, 1250, 2500, 3750, 5000]
+    assert _block_cuts(table, 1000, 500) == [0, 1000]
+    assert _block_cuts(table, 2, 10**6) == [0, 1, 2]
+    assert _block_cuts(merton_feedback(spec_nh), 1000, 2000) == [0, 333, 666, 1000]
+    assert _block_cuts(_CheckedPolicy(table, spec_nh.k, spec_nh.l), 5000, 500) == [0, 5000]
+    _one_cpu(monkeypatch)
+    assert _block_cuts(table, 5000, 500) == [0, 5000]
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2 or not hasattr(os, "fork"),
+    reason="needs os.fork and two usable CPUs")
+@pytest.mark.parametrize("case", ["table", "clipped-merton"])
+def test_split_simulate_equals_one_cpu(spec_nh, nh_table, monkeypatch, case):
+    """simulate on every usable CPU returns the report of the run on one."""
+    if case == "table":
+        policy, x0 = table_feedback(nh_table), 150.0
+    else:
+        policy, x0 = merton_feedback(spec_nh), spec_nh.x_e + 0.5
+    cfg = SimConfig(x0=x0, dt=1 / 50, horizon=12.0, n_paths=4000, seed=31)
+    assert len(_block_cuts(policy, cfg.n_paths // 2, cfg.n_steps)) > 2
+    split = simulate(spec_nh, policy, cfg)
+    _assert_no_child()
+    _one_cpu(monkeypatch)
+    assert split == simulate(spec_nh, policy, cfg)
+
+
+def test_split_failure_raises_the_one_block_error(spec_nh, nh_table, monkeypatch):
+    """From x0 = 105 over 30 years a few paths of the last pairs reach
+    the sliver between x_e and the first table node (OutOfRange), all in
+    the second of two blocks; the split run raises the one-block run's
+    error, type and message, and leaves no child.  Two blocks fork on
+    one CPU too."""
+    n, n_steps, seed = 2000, 1500, 1
+    policy = table_feedback(nh_table)
+    w_step = -math.expm1(-spec_nh.beta / 50) / spec_nh.beta
+    # the first block alone stays in range, so the failure is the child's
+    _euler_block(spec_nh, policy, 105.0, 1 / 50, n_steps, 0, 500, _Normals(seed), w_step)
+    with pytest.raises(OutOfRange) as one:
+        _euler_run(spec_nh, policy, 105.0, n, n_steps, seed, [0, n // 2])
+    with pytest.raises(OutOfRange) as split:
+        _euler_run(spec_nh, policy, 105.0, n, n_steps, seed, [0, 500, n // 2])
+    _assert_no_child()
+    assert str(split.value) == str(one.value)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = SimConfig(x0=105.0, dt=1 / 50, horizon=30.0, n_paths=n, seed=seed)
+    assert _block_cuts(policy, n // 2, n_steps) == [0, 500, n // 2]
+    with pytest.raises(OutOfRange) as split:
+        simulate(spec_nh, policy, cfg)
+    _assert_no_child()
+    assert str(split.value) == str(one.value)
+
+
+class _InterruptedFeedback(TableFeedback):
+    """The table's feedback, interrupted at the caller's tenth step."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.caller = os.getpid()
+        self.steps = 0
+
+    def eval_into(self, x, c, pi, scratch):
+        self.steps += 1
+        if os.getpid() == self.caller and self.steps == 10:
+            raise KeyboardInterrupt
+        return super().eval_into(x, c, pi, scratch)
+
+
+def test_interrupt_stops_every_block(spec_nh, nh_table):
+    """An interrupt in the caller's block propagates as it is, after the
+    other blocks are killed and reaped."""
+    with pytest.raises(KeyboardInterrupt):
+        _euler_run(spec_nh, _InterruptedFeedback(nh_table), 150.0, 2000, 500, 1,
+                   [0, 400, 700, 1000])
+    _assert_no_child()
+
+
+def test_plain_callable_sees_every_step_here(spec_nh, monkeypatch):
+    """A plain callable is called at every step with all n paths, in the
+    caller's process, at a size that splits the simulator's own
+    evaluators."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    merton = merton_feedback(spec_nh)
+    calls = []
+
+    def counting(x):
+        calls.append((os.getpid(), len(x)))
+        return merton(x)
+
+    cfg = SimConfig(x0=150.0, dt=1 / 50, horizon=12.0, n_paths=4000, seed=31)
+    assert len(_block_cuts(merton, cfg.n_paths // 2, cfg.n_steps)) > 2
+    simulate(spec_nh, counting, cfg)
+    _assert_no_child()
+    assert calls == [(os.getpid(), cfg.n_paths)] * cfg.n_steps
