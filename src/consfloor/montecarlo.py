@@ -36,23 +36,27 @@ value to machine precision.  That left-point rule is the only bias of
 the exact scheme, first order in dt; the Euler scheme adds its own
 first-order bias in the wealth step.
 
-Randomness is counter-based and antithetic.  With n paths, step i fills
-n/2 normals from a Philox block keyed by the master seed with counter
-i << 128; path j < n/2 reads lane j and path j + n/2 reads the negation
-of lane j.  Any (step, path) variate can therefore be regenerated
-independently of execution order, and a run is bit-for-bit reproducible
-from (spec, config, seed).  One generator serves a whole run: before
-each step its state is reset to the step's counter, which gives the
-normals of a generator built for that step at a fraction of the cost.
-Normals are generated in float32 (granularity ~6e-8 of a unit draw,
-orders of magnitude below both the time-stepping bias and the
-statistical error); against float64 that saves only 3-15% of generator
-time (Philox, 100k draws per step, 2-core x86-64 VM).  All state
-arithmetic stays float64.  The estimate is the numpy pairwise mean over
-all n paths, a fixed reduction order.  The two paths of a pair are
-negatively correlated, so the standard error is taken over the n/2 pair
-means, (acc_j + acc_{j+n/2}) / 2; a per-path standard error would
-ignore that correlation and overstate the error.
+Randomness is counter-based and antithetic.  With n paths, step i draws
+n/2 normals, one per lane; path j < n/2 reads lane j and path j + n/2
+reads the negation of lane j.  The lanes come in chunks of CHUNK_LANES:
+chunk c, lanes c CHUNK_LANES to (c + 1) CHUNK_LANES - 1, is a Philox
+fill keyed by the master seed with counter (i << 128) | (c << 192), the
+step in counter word 2 and the chunk in word 3.  Any (step, path)
+variate can therefore be regenerated from its chunk alone, independently
+of execution order, and a run is bit-for-bit reproducible from (spec,
+config, seed).  Chunk 0 is the plain fill at counter i << 128, so a run
+of at most 2 CHUNK_LANES paths reads one such fill per step.  One
+generator serves a whole run: before each chunk its state is reset to
+the chunk's counter, which gives the normals of a generator built for
+that chunk at a fraction of the cost.  Normals are generated in float32
+(granularity ~6e-8 of a unit draw, orders of magnitude below both the
+time-stepping bias and the statistical error); against float64 that
+saves only 3-15% of generator time (Philox, 100k draws per step, 2-core
+x86-64 VM).  All state arithmetic stays float64.  The estimate is the
+numpy pairwise mean over all n paths, a fixed reduction order.  The two
+paths of a pair are negatively correlated, so the standard error is
+taken over the n/2 pair means, (acc_j + acc_{j+n/2}) / 2; a per-path
+standard error would ignore that correlation and overstate the error.
 
 Each path is scored by the verification sum of the HJB argument for a
 value J(t, x) that the policy supplies,
@@ -102,25 +106,25 @@ the exact continuation there; the event count diagnoses dt adequacy.
 A state beyond the float64 range raises NumericalBlowup in either
 scheme.
 
-An Euler run of the simulator's own evaluators, TableFeedback and
-AffinePolicy, splits its antithetic pairs into contiguous blocks, one
-per usable CPU (os.sched_getaffinity), each of at least
+A run of the simulator's own evaluators, TableFeedback and AffinePolicy,
+in either scheme, splits its antithetic pairs into contiguous blocks,
+one per usable CPU (os.sched_getaffinity), each of at least
 MIN_BLOCK_PATH_STEPS path-steps.  The caller's process steps the first
 block and a child made by os.fork each other one; the children write
 their per-path sums into shared memory in path order.  Every operation
 of a step is per lane, except the min and max over the lanes, which the
-blocks combine exactly, and the block of pairs a to b - 1 reads lanes
-a to b - 1 of a fill of b normals, the head of the whole run's fill; so
-the result is bit-for-bit that of one block, for any number of CPUs.
-Processes rather than threads: the step is a chain of short numpy
-calls, and two threads sharing the GIL ran a whole simulation at 0.5x
-the speed of one.  A plain callable, whose side effects belong to the
-caller's process, and the log-normal scheme, whose Philox draws each
-block would repeat, run in one block, as does every run where os.fork
-is missing or other threads run.  If a block raises, the other blocks
-are stopped and the run is repeated in one block, which raises the
-same error with its one-block message.  Every child is reaped before
-simulate returns or raises.
+blocks combine exactly, and a block draws only the chunks its lanes lie
+in: where it starts inside a chunk, it draws the chunk's head up to its
+own last lane there and reads the tail, for a fill of m draws is the
+head of a longer fill.  So the result is bit-for-bit that of one block,
+for any number of CPUs.  Processes rather than threads: the step is a
+chain of short numpy calls, and two threads sharing the GIL ran a whole
+simulation at 0.5x the speed of one.  A plain callable, whose side
+effects belong to the caller's process, runs in one block, as does
+every run where os.fork is missing or other threads run.  If a block
+raises, the other blocks are stopped and the run is repeated in one
+block, which raises the same error with its one-block message.  Every
+child is reaped before simulate returns or raises.
 """
 
 from __future__ import annotations
@@ -160,13 +164,17 @@ __all__ = [
 
 
 # most Euler or log-normal steps one simulation may take: 133 times the
-# 75 000 steps of a 300-year run at dt = 1/250, and far inside the one
-# 64-bit word of the Philox counter that holds the step index
+# 75 000 steps of a 300-year run at dt = 1/250, and far inside word 2 of
+# the Philox counter, which holds the step index (word 3 holds the chunk)
 MAX_STEPS = 10_000_000
 
-# fewest path-steps that earn a forked block of an Euler run: about 50 ms
-# of stepping, against the 2-3 ms a fork takes
+# fewest path-steps that earn a forked block of a run: about 50 ms of
+# Euler or 15 ms of log-normal stepping, against the 2-3 ms a fork takes
 MIN_BLOCK_PATH_STEPS = 1 << 20
+
+# antithetic lanes per chunk of a step's normals, each chunk drawn from
+# its own Philox counter (module docstring)
+CHUNK_LANES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -369,24 +377,40 @@ def _philox_key(seed: int) -> int:
 
 
 class _Normals:
-    """Step i's antithetic half: Philox keyed by the seed, counter i << 128.
+    """Step i's antithetic lanes: chunk c of CHUNK_LANES lanes is Philox
+    keyed by the seed, counter (i << 128) | (c << 192).
 
-    One generator serves every step; fill resets its state to the step's
-    counter, which gives the normals of a fresh Philox(key=key,
-    counter=i << 128) without building one (and seeding it from the OS)
-    per step.  The step index fills counter word 2, so it must stay
-    below 2**64.
+    One generator serves every chunk; fill resets its state to the
+    chunk's counter, which gives the normals of a fresh Philox(key=key,
+    counter=(i << 128) | (c << 192)) without building one (and seeding it
+    from the OS) per chunk.  The step index fills counter word 2, so it
+    must stay below 2**64, and the chunk index word 3.
     """
 
     def __init__(self, seed: int):
         self._bitgen = np.random.Philox(key=_philox_key(seed))
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state  # counter 0, nothing buffered
+        self._head = np.empty(CHUNK_LANES, dtype=np.float32)
 
-    def fill(self, i: int, z: np.ndarray):
-        self._state["state"]["counter"][2] = i
-        self._bitgen.state = self._state
-        self._gen.standard_normal(dtype=np.float32, out=z)
+    def fill(self, i: int, z: np.ndarray, a: int = 0):
+        """Lanes a to a + len(z) - 1 of step i into z.  A chunk that
+        starts before lane a is drawn up to the last lane z needs, and
+        its tail read: a fill of m draws is the head of a longer fill."""
+        counter = self._state["state"]["counter"]
+        counter[2] = i
+        end = a + len(z)
+        for c in range(a // CHUNK_LANES, -(-end // CHUNK_LANES)):
+            start = c * CHUNK_LANES
+            lo, hi = max(a, start), min(end, start + CHUNK_LANES)
+            counter[3] = c
+            self._bitgen.state = self._state
+            if lo == start:
+                self._gen.standard_normal(dtype=np.float32, out=z[lo - a:hi - a])
+            else:
+                head = self._head[:hi - start]
+                self._gen.standard_normal(dtype=np.float32, out=head)
+                z[:hi - a] = head[lo - start:]
 
 
 def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
@@ -398,8 +422,8 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
     and must be admissible (c >= k x + l) on the reachable range.
     Deterministic given (spec, cfg): reruns are bit-identical.  The
     stepping scheme follows from the policy and spec (module docstring).
-    An Euler run of TableFeedback or AffinePolicy steps blocks of paths
-    in forked children on every usable CPU, with the same bits for any
+    A run of TableFeedback or AffinePolicy steps blocks of paths in
+    forked children on every usable CPU, with the same bits for any
     number of CPUs, and no child outlives the call.
     """
     if spec.kappa <= 0.0:
@@ -418,9 +442,14 @@ def simulate(spec: ProblemSpec, policy, cfg: SimConfig) -> SimReport:
     w_step = -math.expm1(-spec.beta * dt) / spec.beta
     lognormal = (isinstance(policy, AffinePolicy) and not policy.clips and policy.c0 == 0.0
                  and policy.c1 > 0.0 and policy.c1 >= spec.k and spec.l == 0.0 and x0 > 0.0)
-    steps = _lognormal_steps if lognormal else _euler_steps
-    acc, mart, floor_violations, max_wealth = steps(
-        spec, policy, x0, dt, n_steps, n, normals, w_step)
+    if lognormal:
+        scheme = _lognormal_block
+    else:
+        scheme = _euler_block
+        if not hasattr(policy, "eval_into"):
+            policy = _CheckedPolicy(policy, spec.k, spec.l)
+    acc, mart, floor_violations, max_wealth = _run_blocks(
+        scheme, spec, policy, x0, dt, n_steps, n, normals, w_step)
 
     # an overflowed control variate is reported by the check below
     with np.errstate(invalid="ignore", over="ignore"):
@@ -452,8 +481,9 @@ def _mean_and_std_error(values):
     return float(np.mean(values)), float(np.std(pair_means, ddof=1) / math.sqrt(h))
 
 
-def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
-    """Exact steps of the wealth GBM under c = c1 x, pi = pi1 x.
+def _lognormal_block(spec, policy, x0, dt, n_steps, lo, hi, normals, w_step):
+    """Exact steps of the wealth GBM under c = c1 x, pi = pi1 x, for the
+    antithetic pairs lo to hi - 1 of a run.
 
     Each path carries q = p ln x_i - beta t_i + ln(w_step c1^p / p), the
     log of its utility increment at step i, so the increment is exp(q)
@@ -461,7 +491,7 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     p b sqrt(dt) z.  One max per step bounds ln x for max_wealth and the
     float64 range; NaN fails that comparison too.
 
-    Returns what _euler_steps returns.  The control variate's step term
+    Returns what _euler_block returns.  The control variate's step term
     is util_i dq_i (1 - e^{-rho (T - t_i)}) / (rho w_step) with dq_i the
     signed shift p b sqrt(dt) Z_i of q (module docstring); it is summed
     per antithetic pair, half the difference of the two paths' terms,
@@ -480,7 +510,8 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     rho = ((1.0 - p) * spec.kappa + p * policy.c1
            + 0.5 * p * (1.0 - p) * (b - spec.sigma * spec.merton_fraction)**2)
 
-    h = n // 2
+    h = hi - lo
+    n = 2 * h
     q = np.full(n, p * math.log(x0) + ln_w0)
     q_pairs = q.reshape(2, h)
     acc = np.zeros(n)
@@ -495,7 +526,7 @@ def _lognormal_steps(spec, policy, x0, dt, n_steps, n, normals, w_step):
     for i in range(n_steps):
         np.exp(q, out=util)
         acc += util
-        normals.fill(i, z)
+        normals.fill(i, z, lo)
         np.multiply(z, p_sig_sq_dt, out=dq, dtype=np.float64)
         if mart is not None:
             tau = (n_steps - i) * dt
@@ -527,25 +558,20 @@ def _off_edge(x, query, absorbed, x0):
     return query
 
 
-def _euler_steps(spec, policy, x0, dt, n_steps, n, normals, w_step, cuts=None):
-    """Euler-Maruyama steps with clamping at x_e, in blocks of antithetic
-    pairs; see the module docstring.
+def _run_blocks(scheme, spec, policy, x0, dt, n_steps, n, normals, w_step, cuts=None):
+    """The steps of scheme, _lognormal_block or _euler_block, over n
+    paths in blocks of antithetic pairs; see the module docstring.
 
     cuts are the block edges in pairs, 0 = cuts[0] < ... < cuts[-1] =
-    n/2 (by default from _block_cuts).  Returns, in path order, the
-    per-path utility sums; None when the policy returns no V_x, else per
-    path the sum of the hedges H_i (module docstring) less the discounted
-    terminal value e^{-beta T} V(X_T) (V(x_e) on absorbed lanes); the
-    number of clamped paths; and the highest wealth reached.
+    n/2 (by default from _block_cuts).  Returns what scheme returns, for
+    all n paths in path order.
     """
-    if not hasattr(policy, "eval_into"):
-        policy = _CheckedPolicy(policy, spec.k, spec.l)
     h = n // 2
     if cuts is None:
         cuts = _block_cuts(policy, h, n_steps)
 
     def block(a, b):
-        return _euler_block(spec, policy, x0, dt, n_steps, a, b, normals, w_step)
+        return scheme(spec, policy, x0, dt, n_steps, a, b, normals, w_step)
 
     if len(cuts) > 2:
         assembled = _forked_blocks(block, cuts, policy)
@@ -635,7 +661,11 @@ def _euler_block(spec, policy, x0, dt, n_steps, a, b, normals, w_step):
     with clamping at x_e; see the module docstring.
 
     The block's paths are the pairs' first paths, then their second
-    ones; it returns what _euler_steps does for those paths.
+    ones.  Returns, in that order, the per-path utility sums; None when
+    the policy returns no V_x, else per path the sum of the hedges H_i
+    (module docstring) less the discounted terminal value
+    e^{-beta T} V(X_T) (V(x_e) on absorbed lanes); the number of clamped
+    paths; and the highest wealth reached.
     """
     r, mu, sigma, beta, p = spec.r, spec.mu, spec.sigma, spec.beta, spec.p
     x_e, c_e = spec.x_e, spec.c_e
@@ -651,9 +681,7 @@ def _euler_block(spec, policy, x0, dt, n_steps, a, b, normals, w_step):
     acc = np.zeros(n)
     mart = None
     absorbed = np.empty(0, dtype=np.intp)
-    # the step's first b normals: a fill of b draws is the head of a
-    # fill of n/2, so the block's pairs read the lanes z[a:]
-    z = np.empty(b, dtype=np.float32)
+    z = np.empty(h, dtype=np.float32)
     # the block's normals in float64: a float32 operand costs a cast in
     # every ufunc
     z64 = np.empty(h)
@@ -694,8 +722,8 @@ def _euler_block(spec, policy, x0, dt, n_steps, a, b, normals, w_step):
             util *= math.exp(-beta * i * dt) * w_step / p
             acc += util
 
-            normals.fill(i, z)
-            np.copyto(z64, z[a:])
+            normals.fill(i, z, a)
+            np.copyto(z64, z)
             np.multiply(x, r, out=drift)
             drift -= c
             np.multiply(pi, mu, out=scratch)

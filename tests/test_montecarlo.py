@@ -31,13 +31,15 @@ from consfloor.errors import (
     PolicyInadmissible,
 )
 from consfloor.montecarlo import (
+    CHUNK_LANES,
     MAX_STEPS,
     AffinePolicy,
     SimReport,
     _block_cuts,
     _CheckedPolicy,
     _euler_block,
-    _euler_steps,
+    _lognormal_block,
+    _run_blocks,
     _Normals,
     _philox_key,
 )
@@ -79,12 +81,17 @@ def test_sim_config_validation():
 @pytest.mark.parametrize("n", [1000, 5001])
 def test_reused_generator_matches_fresh_philox(n):
     """Resetting one generator to counter i << 128 gives the normals of a
-    fresh Philox(key, counter=i << 128), in any order of steps; a shorter
-    fill gives their head, the lanes a block of pairs reads."""
+    fresh Philox(key, counter=i << 128), in any order of steps, for a
+    fill of at most CHUNK_LANES lanes; a shorter fill gives their head.
+    Chunk c of a longer fill is a fresh Philox(key, counter=(i << 128) |
+    (c << 192)), and a fill from lane a is the slice of the full fill
+    that a block of pairs reads, from inside a chunk, across a chunk's
+    edge or from an edge."""
     normals = _Normals(seed=11)
     key = _philox_key(11)
     z = np.empty(n, dtype=np.float32)
     head = np.empty(517, dtype=np.float32)
+    full = np.empty(4 * CHUNK_LANES, dtype=np.float32)
     for i in (0, 1, 4999, 2**40, 1):
         normals.fill(i, z)
         fresh = np.random.Generator(np.random.Philox(key=key, counter=i << 128))
@@ -92,6 +99,17 @@ def test_reused_generator_matches_fresh_philox(n):
         assert np.array_equal(z.view(np.uint32), expected.view(np.uint32))
         normals.fill(i, head)
         assert np.array_equal(head.view(np.uint32), expected[:517].view(np.uint32))
+
+        normals.fill(i, full)
+        for c in range(4):
+            counter = (i << 128) | (c << 192)
+            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            expected = fresh.standard_normal(CHUNK_LANES, dtype=np.float32)
+            chunk = full[c * CHUNK_LANES:(c + 1) * CHUNK_LANES]
+            assert np.array_equal(chunk.view(np.uint32), expected.view(np.uint32))
+        for a in (517, 2 * CHUNK_LANES - 300, CHUNK_LANES):
+            normals.fill(i, z, a)
+            assert np.array_equal(z.view(np.uint32), full[a:a + n].view(np.uint32))
 
 
 def test_degenerate_marginal_wealth_is_exact(spec_nh):
@@ -480,8 +498,9 @@ def test_hedge_is_zero_on_absorbed_lanes():
     assert spec.r * spec.x_e - spec.c_e != 0.0
     dt, n_steps, n = 1 / 50, 100, 8
     w_step = -math.expm1(-spec.beta * dt) / spec.beta
-    _, mart, floor_violations, _ = _euler_steps(
-        spec, _AbsorbingFeedback(), spec.x_e + 1.0, dt, n_steps, n, _Normals(1), w_step)
+    _, mart, floor_violations, _ = _run_blocks(
+        _euler_block, spec, _AbsorbingFeedback(), spec.x_e + 1.0, dt, n_steps, n, _Normals(1),
+        w_step)
     assert floor_violations == n
     assert np.all(mart == -(spec.v_xe * math.exp(-spec.beta * n_steps * dt)))
 
@@ -563,10 +582,19 @@ def test_clamp_counts_and_absorbs(spec_nh):
     assert report.estimate > 0
 
 
-def _euler_run(spec, policy, x0, n_paths, n_steps, seed, cuts=None):
+def _run(spec, policy, x0, n_paths, n_steps, seed, cuts=None, scheme=_euler_block):
     dt = 1 / 50
     w_step = -math.expm1(-spec.beta * dt) / spec.beta
-    return _euler_steps(spec, policy, x0, dt, n_steps, n_paths, _Normals(seed), w_step, cuts)
+    return _run_blocks(scheme, spec, policy, x0, dt, n_steps, n_paths, _Normals(seed),
+                       w_step, cuts)
+
+
+def _lognormal_case(case, spec_merton, spec_homog):
+    """The spec and policy of a log-normal case: Merton, or the
+    proportional floor's optimal max(kappa, k) x."""
+    if case == "lognormal-merton":
+        return spec_merton, merton_feedback(spec_merton)
+    return spec_homog, homogeneous_feedback(spec_homog)
 
 
 def _assert_no_child():
@@ -578,30 +606,42 @@ def _one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
+LOGNORMAL_CASES = ["lognormal-merton", "lognormal-proportional"]
+
+
 @pytest.mark.parametrize("cuts", [[0, 500], [0, 333, 667], [0, 1], [0, 517], [0, 1000]],
                          ids=lambda cuts: "-".join(map(str, cuts[1:])))
-@pytest.mark.parametrize("case", ["table", "clipped-merton"])
-def test_blocks_of_pairs_are_bit_identical(spec_nh, nh_table, case, cuts):
+@pytest.mark.parametrize("case", ["table", "clipped-merton"] + LOGNORMAL_CASES)
+def test_blocks_of_pairs_are_bit_identical(spec_nh, nh_table, spec_merton, spec_homog,
+                                           case, cuts):
     """Split at any pair, 1-pair blocks and cuts off multiples of 8
     included, the run's per-path sums, clamped paths and highest wealth
     keep every bit of the one-block run; clipped Merton from just above
-    x_e clamps most paths."""
-    n, n_steps = 2002, 500
+    x_e clamps most paths.  The log-normal runs have 2 CHUNK_LANES + 1001
+    pairs and the same cuts again one chunk later, after a cut on the
+    chunk's edge, so blocks start inside chunks 0 and 1 and span chunk
+    edges."""
+    n, n_steps, scheme, spec = 2002, 500, _euler_block, spec_nh
     if case == "table":
         policy, x0 = table_feedback(nh_table), 105.0
-    else:
+    elif case == "clipped-merton":
         policy, x0 = merton_feedback(spec_nh), spec_nh.x_e + 0.01
-    one = _euler_run(spec_nh, policy, x0, n, n_steps, 7, [0, n // 2])
-    split = _euler_run(spec_nh, policy, x0, n, n_steps, 7, cuts + [n // 2])
+    else:
+        spec, policy = _lognormal_case(case, spec_merton, spec_homog)
+        x0, scheme = 1.0, _lognormal_block
+        n, n_steps = 2 * (2 * CHUNK_LANES + 1001), 200
+        cuts = cuts + [CHUNK_LANES + cut for cut in cuts]
+    one = _run(spec, policy, x0, n, n_steps, 7, [0, n // 2], scheme)
+    split = _run(spec, policy, x0, n, n_steps, 7, cuts + [n // 2], scheme)
     _assert_no_child()
     acc, mart, floor_violations, max_wealth = split
     assert np.array_equal(acc.view(np.uint64), one[0].view(np.uint64))
-    if case == "table":
-        assert np.array_equal(mart.view(np.uint64), one[1].view(np.uint64))
-        assert floor_violations == 0
-    else:
+    if case == "clipped-merton":
         assert mart is None and one[1] is None
         assert floor_violations > 1000
+    else:
+        assert np.array_equal(mart.view(np.uint64), one[1].view(np.uint64))
+        assert floor_violations == 0
     assert floor_violations == one[2]
     assert np.float64(max_wealth).view(np.uint64) == np.float64(one[3]).view(np.uint64)
 
@@ -623,19 +663,29 @@ def test_block_count_follows_cpus_and_size(spec_nh, nh_table, monkeypatch):
 @pytest.mark.skipif(
     len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2 or not hasattr(os, "fork"),
     reason="needs os.fork and two usable CPUs")
-@pytest.mark.parametrize("case", ["table", "clipped-merton"])
-def test_split_simulate_equals_one_cpu(spec_nh, nh_table, monkeypatch, case):
-    """simulate on every usable CPU returns the report of the run on one."""
+@pytest.mark.parametrize("case", ["table", "clipped-merton"] + LOGNORMAL_CASES)
+def test_split_simulate_equals_one_cpu(spec_nh, nh_table, spec_merton, spec_homog,
+                                      monkeypatch, case):
+    """simulate on every usable CPU returns the report of the run on one;
+    the log-normal runs have more than 2 CHUNK_LANES paths, so a block
+    edge falls inside a chunk."""
+    spec, n_paths = spec_nh, 4000
     if case == "table":
         policy, x0 = table_feedback(nh_table), 150.0
-    else:
+    elif case == "clipped-merton":
         policy, x0 = merton_feedback(spec_nh), spec_nh.x_e + 0.5
-    cfg = SimConfig(x0=x0, dt=1 / 50, horizon=12.0, n_paths=4000, seed=31)
-    assert len(_block_cuts(policy, cfg.n_paths // 2, cfg.n_steps)) > 2
-    split = simulate(spec_nh, policy, cfg)
+    else:
+        spec, policy = _lognormal_case(case, spec_merton, spec_homog)
+        x0, n_paths = 1.0, 2 * (2 * CHUNK_LANES + 1001)
+    cfg = SimConfig(x0=x0, dt=1 / 50, horizon=12.0, n_paths=n_paths, seed=31)
+    cuts = _block_cuts(policy, cfg.n_paths // 2, cfg.n_steps)
+    assert len(cuts) > 2
+    if case in LOGNORMAL_CASES:
+        assert all(cut % CHUNK_LANES for cut in cuts[1:-1])
+    split = simulate(spec, policy, cfg)
     _assert_no_child()
     _one_cpu(monkeypatch)
-    assert split == simulate(spec_nh, policy, cfg)
+    assert split == simulate(spec, policy, cfg)
 
 
 def test_split_failure_raises_the_one_block_error(spec_nh, nh_table, monkeypatch):
@@ -650,9 +700,9 @@ def test_split_failure_raises_the_one_block_error(spec_nh, nh_table, monkeypatch
     # the first block alone stays in range, so the failure is the child's
     _euler_block(spec_nh, policy, 105.0, 1 / 50, n_steps, 0, 500, _Normals(seed), w_step)
     with pytest.raises(OutOfRange) as one:
-        _euler_run(spec_nh, policy, 105.0, n, n_steps, seed, [0, n // 2])
+        _run(spec_nh, policy, 105.0, n, n_steps, seed, [0, n // 2])
     with pytest.raises(OutOfRange) as split:
-        _euler_run(spec_nh, policy, 105.0, n, n_steps, seed, [0, 500, n // 2])
+        _run(spec_nh, policy, 105.0, n, n_steps, seed, [0, 500, n // 2])
     _assert_no_child()
     assert str(split.value) == str(one.value)
 
@@ -661,6 +711,30 @@ def test_split_failure_raises_the_one_block_error(spec_nh, nh_table, monkeypatch
     assert _block_cuts(policy, n // 2, n_steps) == [0, 500, n // 2]
     with pytest.raises(OutOfRange) as split:
         simulate(spec_nh, policy, cfg)
+    _assert_no_child()
+    assert str(split.value) == str(one.value)
+
+
+def test_split_overflow_raises_the_one_block_error(spec_merton, monkeypatch):
+    """Merton from x0 = 1e306 in two blocks of log-normal steps: the
+    caller's block alone leaves the float64 range at step 390, the
+    child's at step 364; the split run raises the one-block run's
+    NumericalBlowup, at step 364, and leaves no child."""
+    n, n_steps, seed = 2 * (2 * CHUNK_LANES + 1001), 500, 0
+    h = n // 2
+    policy = merton_feedback(spec_merton)
+    with pytest.raises(NumericalBlowup, match="at step 390$"):
+        # the first h // 2 pairs of the run
+        _run(spec_merton, policy, 1e306, h // 2 * 2, n_steps, seed, [0, h // 2],
+             _lognormal_block)
+    with pytest.raises(NumericalBlowup, match="at step 364$") as one:
+        _run(spec_merton, policy, 1e306, n, n_steps, seed, [0, h], _lognormal_block)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = SimConfig(x0=1e306, dt=1 / 50, horizon=10.0, n_paths=n, seed=seed)
+    assert _block_cuts(policy, h, n_steps) == [0, h // 2, h]
+    with pytest.raises(NumericalBlowup) as split:
+        simulate(spec_merton, policy, cfg)
     _assert_no_child()
     assert str(split.value) == str(one.value)
 
@@ -684,7 +758,7 @@ def test_interrupt_stops_every_block(spec_nh, nh_table):
     """An interrupt in the caller's block propagates as it is, after the
     other blocks are killed and reaped."""
     with pytest.raises(KeyboardInterrupt):
-        _euler_run(spec_nh, _InterruptedFeedback(nh_table), 150.0, 2000, 500, 1,
+        _run(spec_nh, _InterruptedFeedback(nh_table), 150.0, 2000, 500, 1,
                    [0, 400, 700, 1000])
     _assert_no_child()
 
